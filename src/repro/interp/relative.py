@@ -28,14 +28,15 @@ the fleet's divergence bisector (:mod:`repro.fleet.bisect`):
   really proved parallel this is observably identical to serial
   execution; for a racy loop it manifests the race on every run, which
   is what makes bisection possible (the real worker pool only
-  *sometimes* loses the race).  Loops the fork-join runtime would
-  refuse to fork anyway execute with serial semantics so the emulator
-  never reports a divergence the runtime cannot produce --
-  :func:`_fork_verdict` mirrors ``build_plan``'s full eligibility
-  rules (READ/STOP/RETURN/jump-out in the body, COMMON or shared
-  scalar writes, inexact REAL reductions, blocked transitive callees);
-  ``force_reassociation=True`` overrides only the reduction gate to
-  demonstrate what reassociating a REAL sum would do.
+  *sometimes* loses the race).  Which loops are forked is not decided
+  here: the emulator asks the runtime's
+  :func:`~repro.interp.runtime.fork_blocker` over the runtime's
+  :func:`~repro.interp.runtime.loop_facts` and runs every loop the
+  runtime would refuse with serial semantics, so it cannot report a
+  divergence the real execution cannot produce.
+  ``force_reassociation=True`` is the verdict's ``allow_inexact``: it
+  lets a REAL sum or product count as a reduction, to demonstrate what
+  reassociating it would do.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from dataclasses import dataclass
 from ..fortran import ast
 from .machine import Interpreter, _Jump, _norm_int, parallel_jump_fault, \
     parallel_overhead
-from .runtime import _int_typed, _red_match, _stmt_read_exprs, \
-    _summarize_unit, interleaved_order
+from .runtime import fork_blocker, interleaved_order, loop_facts, \
+    summary_lookup
 
 __all__ = [
     "SyncHalt", "SyncRecord", "SyncPointInterpreter",
@@ -121,150 +122,6 @@ class SyncPointInterpreter(Interpreter):
             self._par_depth -= 1
 
 
-def _fork_verdict(s: ast.DoLoop, symtab, units, summaries: dict,
-                  force_reassociation: bool) -> tuple:
-    """``(blocked_reason | None, reduction_names)`` mirroring the
-    fork-join runtime's :func:`repro.interp.runtime.build_plan` +
-    eligibility verdict: the adversarial schedule must interleave
-    exactly the loops the runtime would actually fork, or the relative
-    debugger reports divergences the real execution cannot produce.
-
-    ``force_reassociation=True`` relaxes only the inexact-reduction
-    gate: a recognized REAL sum/prod is kept as a (shared, reassociated)
-    reduction instead of demoting the loop to serial.
-    """
-    loop_var = s.var.upper()
-    written: set = set()
-    inner: set = set()
-    callees: set = set()
-    labels: set = set()
-    jumps: set = set()
-    red_occ: dict[str, list] = {}
-    var_reads: dict[str, int] = {}
-    self_reads: dict[str, int] = {}
-    blocked = None
-
-    walk = list(ast.walk_stmts(s.body))
-    for stmt, _ in walk:
-        if stmt.label is not None:
-            labels.add(stmt.label)
-        if isinstance(stmt, ast.DoLoop):
-            inner.add(stmt.var.upper())
-            if stmt.term_label is not None:
-                labels.add(stmt.term_label)
-        elif isinstance(stmt, ast.ReadStmt):
-            blocked = blocked or "READ statement in loop body"
-        elif isinstance(stmt, ast.Stop):
-            blocked = blocked or "STOP in loop body"
-        elif isinstance(stmt, ast.Return):
-            blocked = blocked or "RETURN in loop body"
-        elif isinstance(stmt, ast.Goto):
-            jumps.add(stmt.target)
-        elif isinstance(stmt, ast.ComputedGoto):
-            jumps.update(stmt.targets)
-        elif isinstance(stmt, ast.ArithIf):
-            jumps.update((stmt.neg_label, stmt.zero_label,
-                          stmt.pos_label))
-        elif isinstance(stmt, ast.CallStmt):
-            callees.add(stmt.name.upper())
-            for a in stmt.args:
-                if isinstance(a, ast.VarRef):
-                    sym = symtab.get(a.name)
-                    if sym is None or not sym.is_array:
-                        written.add(a.name.upper())
-        if isinstance(stmt, ast.Assign) and isinstance(
-                stmt.target, ast.VarRef):
-            name = stmt.target.name.upper()
-            m = _red_match(stmt.value, name)
-            if m is not None and name not in {
-                    v.upper() for v in ast.variables_in(m[1])}:
-                red_occ.setdefault(name, []).append(m[0])
-                self_reads[name] = self_reads.get(name, 0) + 1
-            else:
-                written.add(name)
-        for e in _stmt_read_exprs(stmt):
-            for node in ast.walk_expr(e):
-                if isinstance(node, ast.VarRef):
-                    n = node.name.upper()
-                    var_reads[n] = var_reads.get(n, 0) + 1
-                elif isinstance(node, ast.FuncRef) and not node.intrinsic:
-                    callees.add(node.name.upper())
-                    for a in node.args:
-                        if isinstance(a, ast.VarRef):
-                            sym = symtab.get(a.name)
-                            if sym is None or not sym.is_array:
-                                written.add(a.name.upper())
-                elif isinstance(node, ast.NameRef):
-                    sym = symtab.get(node.name)
-                    if sym is None or not sym.is_array:
-                        callees.add(node.name.upper())
-
-    ok_targets = labels | ({s.term_label} if s.term_label is not None
-                           else set())
-    if blocked is None and jumps - ok_targets:
-        blocked = "jump out of the loop body"
-
-    reductions: set = set()
-    for name, kinds in red_occ.items():
-        kind = kinds[0]
-        sym = symtab.get(name)
-        tname = sym.type_name if sym is not None else None
-        ok = (len(set(kinds)) == 1 and name != loop_var
-              and name not in inner and name not in written
-              and var_reads.get(name, 0) == self_reads.get(name, 0)
-              and sym is not None and sym.storage != "common")
-        if ok and kind in ("sum", "prod"):
-            exact = tname == "INTEGER" and all(
-                _int_typed(m[1], symtab)
-                for stmt, _ in walk
-                if isinstance(stmt, ast.Assign)
-                and isinstance(stmt.target, ast.VarRef)
-                and stmt.target.name.upper() == name
-                for m in [_red_match(stmt.value, name)] if m is not None)
-            ok = exact or force_reassociation
-        elif ok:
-            ok = tname in ("INTEGER", "REAL", "DOUBLEPRECISION")
-        if ok:
-            reductions.add(name)
-        else:
-            written.add(name)
-
-    if blocked is None:
-        for name in sorted(written):
-            sym = symtab.get(name)
-            if sym is not None and sym.storage == "common":
-                blocked = f"writes COMMON scalar {name}"
-                break
-
-    if blocked is None:
-        privates = {p.upper() for p in s.private_vars}
-        stray = (written | inner) - reductions - {loop_var} \
-            - privates - inner
-        if stray:
-            blocked = f"writes shared scalar {sorted(stray)[0]}"
-
-    if blocked is None:
-        seen: set = set()
-        stack = list(callees)
-        while stack:
-            name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            uir = units.get(name)
-            if uir is None:
-                continue    # intrinsic or missing: not a fork blocker
-            sm = summaries.get(name)
-            if sm is None:
-                sm = summaries[name] = _summarize_unit(uir)
-            if sm.blocked is not None:
-                blocked = f"callee {name}: {sm.blocked}"
-                break
-            stack.extend(sm.callees)
-
-    return blocked, frozenset(reductions)
-
-
 class AdversarialInterpreter(SyncPointInterpreter):
     """Deterministic worst-case parallel execution of PARALLEL DO loops.
 
@@ -283,20 +140,31 @@ class AdversarialInterpreter(SyncPointInterpreter):
         self.force_reassociation = force_reassociation
         #: (unit, line) -> reason, for loops kept serial
         self.serial_fallbacks: dict[tuple, str] = {}
-        self._verdicts: dict = {}       # (unit, uid) -> (blocked, reds)
-        self._unit_summaries: dict = {}
+        self._verdicts: dict = {}       # (unit, uid) -> reason | None
+        self._summary_of = summary_lookup(program.units, {})
 
-    def _verdict(self, s, frame) -> tuple:
+    def _verdict(self, s, frame) -> str | None:
+        """Why the fork-join runtime would not fork this loop (None: it
+        would), asked of the runtime's own :func:`fork_blocker`."""
         key = (frame.unit_name, s.uid)
-        v = self._verdicts.get(key)
-        if v is None:
-            v = self._verdicts[key] = _fork_verdict(
-                s, frame.symtab, self.program.units,
-                self._unit_summaries, self.force_reassociation)
-        return v
+        if key not in self._verdicts:
+            b = fork_blocker(loop_facts(s, frame.symtab),
+                             frozenset(s.private_vars), self._summary_of,
+                             self.assertion_checker is not None,
+                             allow_inexact=self.force_reassociation)
+            if b is None:
+                why = None
+            elif b.static is not None:
+                why = b.static
+            elif b.stray:
+                why = f"writes shared scalar {b.stray[0]}"
+            else:
+                why = f"callee {b.callee}: {b.why or 'no program unit'}"
+            self._verdicts[key] = why
+        return self._verdicts[key]
 
     def _exec_parallel_do(self, s, frame, start, step, trips):
-        blocked, _reds = self._verdict(s, frame)
+        blocked = self._verdict(s, frame)
         if blocked is not None or trips <= 0 or self.rel_workers <= 1:
             if blocked is not None:
                 self.serial_fallbacks[(frame.unit_name, s.line)] = blocked

@@ -45,6 +45,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +57,9 @@ from .machine import (
 )
 
 __all__ = [
-    "ParallelRuntime", "ParLoopPlan", "build_plan", "chunk_ranges",
+    "ParallelRuntime", "ParLoopPlan", "LoopFacts", "ForkBlocker",
+    "build_plan", "loop_facts", "fork_blocker", "summary_lookup",
+    "chunk_ranges",
     "interleaved_order", "resolve_workers", "resolve_schedule",
     "resolve_pool_kind", "SCHEDULES",
 ]
@@ -209,30 +212,19 @@ class RedPlan:
 
 
 class ParLoopPlan:
-    """Static facts about one PARALLEL DO, computed once at compile time.
+    """One PARALLEL DO as the compiled runtime sees it: the loop's
+    :class:`LoopFacts` plus the register slots of its exact reductions
+    and the compiled body the workers run."""
 
-    ``blocked`` is a human-readable reason the loop can never execute in
-    parallel (it then always takes the serial simulation); everything
-    else feeds the per-run eligibility verdict.
-    """
+    __slots__ = ("facts", "vslot", "term", "line", "body", "reductions")
 
-    __slots__ = ("uname", "var", "vslot", "term", "line", "body",
-                 "blocked", "has_assert", "written", "inner_vars",
-                 "callees", "reductions")
-
-    def __init__(self, uname, var, vslot, term, line, body):
-        self.uname = uname
-        self.var = var
+    def __init__(self, facts, vslot, term, line, body, reductions):
+        self.facts = facts
         self.vslot = vslot
         self.term = term
         self.line = line
         self.body = body
-        self.blocked: str | None = None
-        self.has_assert = False
-        self.written: frozenset = frozenset()
-        self.inner_vars: frozenset = frozenset()
-        self.callees: frozenset = frozenset()
-        self.reductions: tuple = ()
+        self.reductions = reductions
 
 
 def _int_typed(e, st) -> bool:
@@ -306,202 +298,279 @@ def _stmt_read_exprs(s):
     return exprs
 
 
-def build_plan(cx, s: ast.DoLoop, body, vslot, term) -> ParLoopPlan:
-    """Collect the static parallel-execution facts for one PARALLEL DO.
+class LoopFacts:
+    """Name-level facts of one statement list, gathered in one walk.
 
-    Called by ``compile._comp_do`` with the unit's compile context; the
-    plan is registered in ``UnitCode.par_plans`` (dense loop index) so
-    process-pool workers can recover it from their own compile.
+    :func:`loop_facts` fills ``var`` and the last four fields for a loop
+    body (the reduction verdicts and the static fork blocker);
+    :func:`_summarize_unit` reads only the walk itself.
     """
-    st = cx.st
-    plan = ParLoopPlan(cx.uname, s.var.upper(), vslot, term, s.line,
-                       body)
-    labels = set()
-    jump_targets = set()
-    written = set()
-    inner_vars = set()
-    callees = set()
-    red_occ: dict[str, list] = {}
-    var_reads: dict[str, int] = {}
-    self_reads: dict[str, int] = {}
-    blocked = None
 
-    walk = list(ast.walk_stmts(s.body))
-    for stmt, _ in walk:
+    __slots__ = ("var", "labels", "jumps", "halts", "has_assert",
+                 "assigned", "written", "inner_vars", "callees", "reads",
+                 "self_reads", "shapes", "shape_reductions", "reductions",
+                 "inexact", "blocked")
+
+    def __init__(self):
+        self.var: str | None = None
+        self.labels: set = set()
+        self.jumps: set = set()
+        #: ``(walk position, "READ" | "STOP" | "RETURN")``, in walk order
+        self.halts: list = []
+        self.has_assert = False
+        #: scalar assignment target -> walk position of its first store
+        self.assigned: dict = {}
+        #: scalars stored other than by a recognized reduction
+        self.written: set = set()
+        self.inner_vars: set = set()
+        self.callees: set = set()
+        #: scalar -> read count, and the reads its own updates make
+        self.reads: dict = {}
+        self.self_reads: dict = {}
+        #: scalar -> ``[(kind, operand)]`` of every ``s = s op e`` store
+        self.shapes: dict = {}
+        #: reduction shape alone (no storage or type gate)
+        self.shape_reductions: frozenset = frozenset()
+        #: ``(name, kind, type_name)`` the runtime combines exactly
+        self.reductions: tuple = ()
+        #: REAL or mixed sums/products: forkable only by reassociating
+        self.inexact: frozenset = frozenset()
+        #: READ/STOP/RETURN, a jump out, or a COMMON scalar store
+        self.blocked: str | None = None
+
+
+def _scan(body, st) -> LoopFacts:
+    f = LoopFacts()
+
+    def actuals(args):
+        # a scalar actual may be stored through by the callee
+        for a in args:
+            if isinstance(a, ast.VarRef):
+                sym = st.get(a.name)
+                if sym is None or not sym.is_array:
+                    f.written.add(a.name.upper())
+
+    for pos, (stmt, _) in enumerate(ast.walk_stmts(body)):
         if stmt.label is not None:
-            labels.add(stmt.label)
+            f.labels.add(stmt.label)
         if isinstance(stmt, ast.DoLoop):
-            inner_vars.add(stmt.var.upper())
+            f.inner_vars.add(stmt.var.upper())
             if stmt.term_label is not None:
-                labels.add(stmt.term_label)
+                f.labels.add(stmt.term_label)
         elif isinstance(stmt, ast.ReadStmt):
-            blocked = blocked or "READ statement in loop body"
+            f.halts.append((pos, "READ"))
         elif isinstance(stmt, ast.Stop):
-            blocked = blocked or "STOP in loop body"
+            f.halts.append((pos, "STOP"))
         elif isinstance(stmt, ast.Return):
-            blocked = blocked or "RETURN in loop body"
+            f.halts.append((pos, "RETURN"))
         elif isinstance(stmt, ast.AssertStmt):
-            plan.has_assert = True
+            f.has_assert = True
         elif isinstance(stmt, ast.Goto):
-            jump_targets.add(stmt.target)
+            f.jumps.add(stmt.target)
         elif isinstance(stmt, ast.ComputedGoto):
-            jump_targets.update(stmt.targets)
+            f.jumps.update(stmt.targets)
         elif isinstance(stmt, ast.ArithIf):
-            jump_targets.update((stmt.neg_label, stmt.zero_label,
-                                 stmt.pos_label))
+            f.jumps.update((stmt.neg_label, stmt.zero_label,
+                            stmt.pos_label))
         elif isinstance(stmt, ast.CallStmt):
-            callees.add(stmt.name.upper())
-            for a in stmt.args:
-                if isinstance(a, ast.VarRef):
-                    sym = st.get(a.name)
-                    if sym is None or not sym.is_array:
-                        written.add(a.name.upper())
+            f.callees.add(stmt.name.upper())
+            actuals(stmt.args)
 
         if isinstance(stmt, ast.Assign) and isinstance(
                 stmt.target, ast.VarRef):
             name = stmt.target.name.upper()
+            f.assigned.setdefault(name, pos)
             m = _red_match(stmt.value, name)
             if m is not None and name not in {
                     v.upper() for v in ast.variables_in(m[1])}:
-                red_occ.setdefault(name, []).append(m[0])
-                self_reads[name] = self_reads.get(name, 0) + 1
+                f.shapes.setdefault(name, []).append(m)
+                f.self_reads[name] = f.self_reads.get(name, 0) + 1
             else:
-                written.add(name)
+                f.written.add(name)
 
         for e in _stmt_read_exprs(stmt):
             for node in ast.walk_expr(e):
                 if isinstance(node, ast.VarRef):
                     n = node.name.upper()
-                    var_reads[n] = var_reads.get(n, 0) + 1
+                    f.reads[n] = f.reads.get(n, 0) + 1
                 elif isinstance(node, ast.FuncRef) and not node.intrinsic:
-                    callees.add(node.name.upper())
-                    for a in node.args:
-                        if isinstance(a, ast.VarRef):
-                            sym = st.get(a.name)
-                            if sym is None or not sym.is_array:
-                                written.add(a.name.upper())
+                    f.callees.add(node.name.upper())
+                    actuals(node.args)
                 elif isinstance(node, ast.NameRef):
                     sym = st.get(node.name)
                     if sym is None or not sym.is_array:
-                        callees.add(node.name.upper())
+                        f.callees.add(node.name.upper())
+    return f
 
-    # A jump whose target is not a body label (or the loop terminator)
-    # escapes the loop; the serial simulation faults at the offending
-    # iteration, so keep full state parity by never forking such loops.
-    ok_targets = labels | ({term} if term is not None else set())
-    if blocked is None and jump_targets - ok_targets:
-        blocked = "jump out of the loop body"
 
-    # Classify reduction candidates; failures fold into plain writes.
+_HALT_REASONS = {"READ": "READ statement in loop body",
+                 "STOP": "STOP in loop body",
+                 "RETURN": "RETURN in loop body"}
+
+
+def loop_facts(loop: ast.DoLoop, symtab) -> LoopFacts:
+    """The facts of one DO loop: the body walk, its reductions and its
+    static fork blocker."""
+    f = _scan(loop.body, symtab)
+    f.var = var = loop.var.upper()
+    f.shape_reductions = frozenset(
+        name for name, ms in f.shapes.items()
+        if len({kind for kind, _ in ms}) == 1
+        and name != var and name not in f.inner_vars
+        and name not in f.written
+        and f.reads.get(name, 0) == f.self_reads[name])
     reductions = []
-    for name, kinds in red_occ.items():
-        kind = kinds[0]
-        sym = st.get(name)
-        tname = sym.type_name if sym is not None else None
-        ok = (len(set(kinds)) == 1
-              and name != plan.var
-              and name not in inner_vars
-              and name not in written
-              and var_reads.get(name, 0) == self_reads.get(name, 0)
-              and sym is not None and sym.storage != "common")
-        if ok and kind in ("sum", "prod"):
-            ok = tname == "INTEGER" and all(
-                _int_typed(m[1], st)
-                for stmt, _ in walk
-                if isinstance(stmt, ast.Assign)
-                and isinstance(stmt.target, ast.VarRef)
-                and stmt.target.name.upper() == name
-                for m in [_red_match(stmt.value, name)] if m is not None)
-        elif ok:
-            ok = tname in ("INTEGER", "REAL", "DOUBLEPRECISION")
-        if ok:
-            reductions.append(RedPlan(name, cx.slot(name), kind, tname))
-        else:
-            written.add(name)
+    inexact = set()
+    for name, ms in f.shapes.items():
+        sym = symtab.get(name)
+        if name not in f.shape_reductions or sym is None \
+                or sym.storage == "common":
+            continue
+        kind, tname = ms[0][0], sym.type_name
+        if kind in ("sum", "prod"):
+            # only integer accumulation is exactly associative
+            if tname == "INTEGER" and all(
+                    _int_typed(e, symtab) for _, e in ms):
+                reductions.append((name, kind, tname))
+            else:
+                inexact.add(name)
+        elif tname in ("INTEGER", "REAL", "DOUBLEPRECISION"):
+            reductions.append((name, kind, tname))
+    f.reductions = tuple(reductions)
+    f.inexact = frozenset(inexact)
+    f.written |= f.shapes.keys() - {r[0] for r in reductions}
 
-    # Writes to COMMON scalars would race through the shared globals
-    # dict; the serial path handles them, so just never fork.
-    if blocked is None:
-        for name in written:
-            sym = st.get(name)
+    if f.halts:
+        f.blocked = _HALT_REASONS[f.halts[0][1]]
+    elif f.jumps - f.labels - {loop.term_label}:
+        # the serial simulation faults at the offending iteration; keep
+        # full state parity by never forking
+        f.blocked = "jump out of the loop body"
+    else:
+        # a COMMON scalar would race through the shared globals dict
+        for name in sorted(f.written):
+            sym = symtab.get(name)
             if sym is not None and sym.storage == "common":
-                blocked = f"writes COMMON scalar {name}"
+                f.blocked = f"writes COMMON scalar {name}"
                 break
-
-    for name in written | inner_vars:
-        cx.slot(name)
-
-    plan.blocked = blocked
-    plan.written = frozenset(written)
-    plan.inner_vars = frozenset(inner_vars)
-    plan.callees = frozenset(callees)
-    plan.reductions = tuple(
-        sorted(reductions, key=lambda r: r.name))
-    return plan
+    return f
 
 
-# --------------------------------------------------------------------------
-# Transitive callee summaries (per-run; program units may call anything)
-# --------------------------------------------------------------------------
+class _UnitSummary(NamedTuple):
+    """What a call into one program unit brings into a forked loop."""
 
-class _UnitSummary:
-    __slots__ = ("blocked", "has_assert", "callees", "common_arrays")
-
-    def __init__(self):
-        self.blocked: str | None = None
-        self.has_assert = False
-        self.callees: set = set()
-        self.common_arrays: set = set()
+    blocked: str | None
+    has_assert: bool
+    callees: set
+    common_arrays: set
 
 
 def _summarize_unit(uir) -> _UnitSummary:
-    sm = _UnitSummary()
     st = uir.symtab
-    labels = set()
-    targets = set()
-    for stmt, _ in ast.walk_stmts(uir.unit.body):
-        if stmt.label is not None:
-            labels.add(stmt.label)
-        if isinstance(stmt, ast.DoLoop) and stmt.term_label is not None:
-            labels.add(stmt.term_label)
-        if isinstance(stmt, ast.ReadStmt):
-            sm.blocked = sm.blocked or "READ"
-        elif isinstance(stmt, ast.Stop):
-            # STOP ends the whole program mid-loop: the serial engines
-            # stop at the first offending iteration, a worker cannot
-            sm.blocked = sm.blocked or "STOP"
-        elif isinstance(stmt, ast.AssertStmt):
-            sm.has_assert = True
-        elif isinstance(stmt, ast.Goto):
-            targets.add(stmt.target)
-        elif isinstance(stmt, ast.ComputedGoto):
-            targets.update(stmt.targets)
-        elif isinstance(stmt, ast.ArithIf):
-            targets.update((stmt.neg_label, stmt.zero_label,
-                            stmt.pos_label))
-        elif isinstance(stmt, ast.CallStmt):
-            sm.callees.add(stmt.name.upper())
-        if isinstance(stmt, ast.Assign) and isinstance(
-                stmt.target, ast.VarRef):
-            sym = st.get(stmt.target.name)
-            if sym is not None and sym.storage == "common" \
-                    and not sym.is_array:
-                sm.blocked = sm.blocked or \
-                    f"writes COMMON scalar {sym.name}"
-        for e in _stmt_read_exprs(stmt):
-            for node in ast.walk_expr(e):
-                if isinstance(node, ast.FuncRef) and not node.intrinsic:
-                    sm.callees.add(node.name.upper())
-                elif isinstance(node, ast.NameRef):
-                    nsym = st.get(node.name)
-                    if nsym is None or not nsym.is_array:
-                        sm.callees.add(node.name.upper())
-    if sm.blocked is None and targets - labels:
-        sm.blocked = "cross-unit jump"
-    for sym in st.symbols.values():
-        if sym.is_array and sym.storage == "common":
-            sm.common_arrays.add(sym.name)
-    return sm
+    f = _scan(uir.unit.body, st)
+    # first in walk order: READ, STOP (it ends the whole program
+    # mid-loop; a worker cannot) or a COMMON scalar store
+    found = [(pos, kind) for pos, kind in f.halts if kind != "RETURN"]
+    for name, pos in f.assigned.items():
+        sym = st.get(name)
+        if sym is not None and sym.storage == "common" \
+                and not sym.is_array:
+            found.append((pos, f"writes COMMON scalar {sym.name}"))
+    if found:
+        blocked = min(found)[1]
+    elif f.jumps - f.labels:
+        blocked = "cross-unit jump"
+    else:
+        blocked = None
+    return _UnitSummary(
+        blocked, f.has_assert, f.callees,
+        {sym.name for sym in st.symbols.values()
+         if sym.is_array and sym.storage == "common"})
+
+
+def summary_lookup(units, cache: dict):
+    """The ``summary_of`` argument of :func:`fork_blocker` for a
+    program's ``units``, memoized in ``cache``."""
+    def summary_of(name):
+        if name not in cache:
+            uir = units.get(name)
+            cache[name] = _summarize_unit(uir) if uir is not None else None
+        return cache[name]
+    return summary_of
+
+
+# --------------------------------------------------------------------------
+# The fork verdict (the compiled runtime, the relative debugger's
+# emulator and LINT004 all ask this one function)
+# --------------------------------------------------------------------------
+
+class ForkBlocker(NamedTuple):
+    """Why the runtime will not fork a loop; exactly one kind is set."""
+
+    #: a construct in the body (``LoopFacts.blocked`` or an ASSERT)
+    static: str | None = None
+    #: sorted shared scalars written but neither private nor reductions
+    stray: tuple = ()
+    #: the first callee that blocks, walked depth-first (each callee
+    #: list sorted and taken from its end, so the walk is deterministic)
+    callee: str | None = None
+    #: that callee's summary reason; None means it has no program unit
+    why: str | None = None
+
+
+def fork_blocker(facts: LoopFacts, privates, summary_of,
+                 check_assertions: bool,
+                 allow_inexact: bool = False) -> ForkBlocker | None:
+    """None when the fork-join runtime forks this loop, else the reason.
+
+    ``privates`` are the loop's PRIVATE scalars; ``summary_of(name)``
+    returns a callee's :class:`_UnitSummary` or None for a name with no
+    program unit.  ``check_assertions`` blocks loops that reach an
+    ASSERT (the checker runs in the parent only).  ``allow_inexact``
+    treats REAL sums and products as reductions, which reassociates
+    them -- the relative debugger's demonstration mode only.
+    """
+    if facts.blocked is not None:
+        return ForkBlocker(static=facts.blocked)
+    if check_assertions and facts.has_assert:
+        return ForkBlocker(static="ASSERT in loop body")
+    shared = facts.written - facts.inexact if allow_inexact \
+        else facts.written
+    stray = shared - facts.inner_vars - privates - {facts.var}
+    if stray:
+        return ForkBlocker(stray=tuple(sorted(stray)))
+    seen: set = set()
+    stack = sorted(facts.callees)
+    while stack:
+        name = stack.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        sm = summary_of(name)
+        if sm is None:
+            return ForkBlocker(callee=name)
+        why = sm.blocked or (
+            "ASSERT" if check_assertions and sm.has_assert else None)
+        if why is not None:
+            return ForkBlocker(callee=name, why=why)
+        stack.extend(sorted(sm.callees))
+    return None
+
+
+def build_plan(cx, s: ast.DoLoop, body, vslot, term) -> ParLoopPlan:
+    """The loop's facts plus its register slots.
+
+    Called by ``compile._comp_do`` with the unit's compile context; the
+    plan is registered in ``UnitCode.par_plans`` (dense loop index) so
+    process-pool workers can recover it from their own compile.
+    """
+    facts = loop_facts(s, cx.st)
+    reds = sorted((RedPlan(name, cx.slot(name), kind, tname)
+                   for name, kind, tname in facts.reductions),
+                  key=lambda r: r.name)
+    for name in facts.written | facts.inner_vars:
+        cx.slot(name)
+    return ParLoopPlan(facts, vslot, term, s.line, body, tuple(reds))
 
 
 # --------------------------------------------------------------------------
@@ -692,14 +761,6 @@ class ParallelRuntime:
 
     # -- eligibility -------------------------------------------------------
 
-    def _summary(self, rt, name):
-        sm = self._summaries.get(name, _NOT_CACHED)
-        if sm is _NOT_CACHED:
-            uir = rt.program.units.get(name)
-            sm = _summarize_unit(uir) if uir is not None else None
-            self._summaries[name] = sm
-        return sm
-
     def _exec_state(self, rt, plan, lk, lidx):
         """Eligibility verdict + precomputed merge/reduction slots for
         one (loop, link) pair; None means "always simulate"."""
@@ -712,41 +773,27 @@ class ParallelRuntime:
         return st
 
     def _compute_state(self, rt, plan, lk, lidx):
-        if plan.blocked is not None:
-            return None
-        if plan.has_assert and rt.assertion_checker is not None:
-            return None
+        facts = plan.facts
         privates = lk.loop_privates[lidx] if lidx < len(
             lk.loop_privates) else frozenset()
-        red_names = {r.name for r in plan.reductions}
-        merge_names = (plan.written | plan.inner_vars) \
-            - red_names - {plan.var}
-        # every written scalar must be private, an inner DO variable, a
-        # recognized reduction, or the loop variable itself
-        if not merge_names <= (privates | plan.inner_vars):
+        lookup = summary_lookup(rt.program.units, self._summaries)
+        reached = []
+
+        def summary_of(name):
+            reached.append(lookup(name))
+            return reached[-1]
+
+        if fork_blocker(facts, privates, summary_of,
+                        rt.assertion_checker is not None) is not None:
             return None
-        # transitive callee closure: no READ/COMMON-scalar-write/assert
-        common_arrays: set = set()
-        seen = set()
-        stack = list(plan.callees)
-        while stack:
-            name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            sm = self._summary(rt, name)
-            if sm is None or sm.blocked is not None:
-                return None
-            if sm.has_assert and rt.assertion_checker is not None:
-                return None
-            common_arrays |= sm.common_arrays
-            stack.extend(sm.callees)
-        code = lk.code
-        reg = code.reg_index
+        reg = lk.code.reg_index
+        merge_names = (facts.written | facts.inner_vars) - {facts.var}
         return {
             "unset_slots": tuple(sorted(reg[n] for n in merge_names)),
             "reds": plan.reductions,
-            "common_arrays": frozenset(common_arrays),
+            # COMMON arrays a callee might lazily allocate
+            "common_arrays": frozenset().union(
+                *(sm.common_arrays for sm in reached)),
         }
 
     def _lk_map(self, rt):

@@ -24,10 +24,13 @@ runtime actually provides (:mod:`repro.interp.runtime`):
   value survives.
 
 Scalars private to the loop, inner DO variables, the loop variable and
-recognized reduction scalars are excluded (they are replicated or
-combined by the runtime); :func:`dynamic_races` can re-include
-reductions to confirm that a mis-recognized REAL reduction really does
-carry a cross-iteration recurrence.
+reduction scalars are excluded (they are replicated or combined by the
+runtime).  The inner DO variables and the reductions are read off the
+runtime's own :func:`~repro.interp.runtime.loop_facts`; the reduction
+set is its shape-only ``shape_reductions`` (no storage or type gate),
+and :func:`dynamic_races` can re-include reductions to confirm that a
+REAL sum the runtime refuses really does carry a cross-iteration
+recurrence.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 from ..fortran import ast
 from .machine import Interpreter, _Jump, _norm_int, parallel_jump_fault, \
     parallel_overhead, ArrayStorage, Frame, _ScalarRef
-from .runtime import _red_match, _stmt_read_exprs, chunk_ranges
+from .runtime import chunk_ranges, loop_facts
 
 __all__ = [
     "ShadowInterpreter", "ShadowLoopLog", "DynamicRace",
@@ -97,55 +100,6 @@ class DynamicRace:
 
 
 # --------------------------------------------------------------------------
-# Reduction recognition (runtime shape, no type gate)
-# --------------------------------------------------------------------------
-
-def _recognized_reductions(s: ast.DoLoop) -> frozenset:
-    """Scalar names the runtime's reduction recognizer would accept,
-    *without* the integer-exactness gate: the shadow must also exclude
-    REAL sums, whose recurrence RACE003 reports statically and whose
-    dynamic conflict :func:`dynamic_races` can re-include on demand."""
-    written: set[str] = set()
-    inner: set[str] = set()
-    red_occ: dict[str, list] = {}
-    var_reads: dict[str, int] = {}
-    self_reads: dict[str, int] = {}
-    for stmt, _ in ast.walk_stmts(s.body):
-        if isinstance(stmt, ast.DoLoop):
-            inner.add(stmt.var.upper())
-        if isinstance(stmt, ast.CallStmt):
-            for a in stmt.args:
-                if isinstance(a, ast.VarRef):
-                    written.add(a.name.upper())
-        if isinstance(stmt, ast.Assign) and isinstance(
-                stmt.target, ast.VarRef):
-            name = stmt.target.name.upper()
-            m = _red_match(stmt.value, name)
-            if m is not None and name not in {
-                    v.upper() for v in ast.variables_in(m[1])}:
-                red_occ.setdefault(name, []).append(m[0])
-                self_reads[name] = self_reads.get(name, 0) + 1
-            else:
-                written.add(name)
-        for e in _stmt_read_exprs(stmt):
-            for node in ast.walk_expr(e):
-                if isinstance(node, ast.VarRef):
-                    n = node.name.upper()
-                    var_reads[n] = var_reads.get(n, 0) + 1
-                elif isinstance(node, ast.FuncRef) and not node.intrinsic:
-                    for a in node.args:
-                        if isinstance(a, ast.VarRef):
-                            written.add(a.name.upper())
-    out = set()
-    for name, kinds in red_occ.items():
-        if (len(set(kinds)) == 1 and name != s.var.upper()
-                and name not in inner and name not in written
-                and var_reads.get(name, 0) == self_reads.get(name, 0)):
-            out.add(name)
-    return frozenset(out)
-
-
-# --------------------------------------------------------------------------
 # Per-loop record
 # --------------------------------------------------------------------------
 
@@ -156,14 +110,15 @@ class _LoopRecord:
     def __init__(self, s: ast.DoLoop, frame: Frame, trips: int):
         self.loop = s
         self.frame = frame
-        inner = frozenset(t.var.upper() for t, _ in ast.walk_stmts(s.body)
-                          if isinstance(t, ast.DoLoop))
+        # shape-only reductions: REAL sums are excluded too (RACE003
+        # reports their recurrence statically)
+        facts = loop_facts(s, frame.symtab)
         self.log = ShadowLoopLog(
             unit=frame.unit_name, line=s.line, uid=s.uid,
             var=s.var.upper(), trips=trips,
             private=frozenset(n.upper() for n in s.private_vars),
-            inner_vars=inner,
-            reduction_names=_recognized_reductions(s))
+            inner_vars=frozenset(facts.inner_vars),
+            reduction_names=facts.shape_reductions)
         self.cur_writes: set = set()
         self.cur_exposed: set = set()
         #: cell -> list of iterations that wrote it (for pending WW)

@@ -47,6 +47,7 @@ from .compile import (
     _MISSING, CompiledInterpreter, _comp_expr, _comp_varref, _expr_cost,
     linked_unit,
 )
+from .runtime import _MAXFNS, _MINFNS, _red_match
 
 __all__ = ["VectorInterpreter", "LoopDecision", "maybe_vectorize",
            "lowering_decisions"]
@@ -61,10 +62,6 @@ _EXACT_CLOCK = float(2 ** 49)
 
 _INT = "INT"
 _FLOAT = "FLOAT"
-
-_MAXS = ("MAX", "AMAX1", "MAX0", "DMAX1")
-_MINS = ("MIN", "AMIN1", "MIN0", "DMIN1")
-
 
 class LoopDecision:
     """Why one loop did (or did not) lower to the vector tier."""
@@ -540,11 +537,11 @@ def _vintrinsic(lx, e):
                 raise _Reject("DIM with REAL arguments")
             return (lambda ev: np.maximum(f0(ev) - f1(ev), 0)), _INT, \
                 varies, safe
-    if u in _MAXS or u in _MINS:
+    if u in _MAXFNS or u in _MINFNS:
         if not (all(t == _INT for t in vts)
                 or all(t == _FLOAT for t in vts)):
             raise _Reject("MAX/MIN with mixed argument types")
-        red = np.maximum if u in _MAXS else np.minimum
+        red = np.maximum if u in _MAXFNS else np.minimum
 
         def f_mm(ev):
             v = fns[0](ev)
@@ -576,47 +573,9 @@ def _to_float(v):
     return float(v)
 
 
-# --------------------------------------------------------------------------
-# Reduction pattern matching (mirrors runtime.py's RedPlan verdicts)
-# --------------------------------------------------------------------------
-
-def _is_var(e, key):
-    return isinstance(e, ast.VarRef) and e.name.upper() == key
-
-
 def _reads_name(e, key):
     return any(isinstance(n, ast.VarRef) and n.name.upper() == key
                for n in ast.walk_expr(e))
-
-
-def _match_reduction(key, e):
-    """``(kind, operand_expr, sign)`` for S = S (+|-|*) e and
-    S = MAX/MIN(S, e), else None."""
-    if isinstance(e, ast.BinOp):
-        if e.op == "+":
-            if _is_var(e.left, key) and not _reads_name(e.right, key):
-                return "sum", e.right, 1
-            if _is_var(e.right, key) and not _reads_name(e.left, key):
-                return "sum", e.left, 1
-        elif e.op == "-":
-            if _is_var(e.left, key) and not _reads_name(e.right, key):
-                return "sum", e.right, -1
-        elif e.op == "*":
-            if _is_var(e.left, key) and not _reads_name(e.right, key):
-                return "prod", e.right, 1
-            if _is_var(e.right, key) and not _reads_name(e.left, key):
-                return "prod", e.left, 1
-    if isinstance(e, ast.FuncRef) and e.intrinsic and len(e.args) == 2:
-        u = e.name.upper()
-        if u in _MAXS or u in _MINS:
-            kind = "max" if u in _MAXS else "min"
-            if _is_var(e.args[0], key) \
-                    and not _reads_name(e.args[1], key):
-                return kind, e.args[1], 1
-            if _is_var(e.args[1], key) \
-                    and not _reads_name(e.args[0], key):
-                return kind, e.args[0], 1
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -761,9 +720,12 @@ def _lower(cx, s):
             key = t.name.upper()
             red = None
             if key not in lx.assigned:
-                red = _match_reduction(key, x.value)
+                red = _red_match(x.value, key)
+                if red is not None and _reads_name(red[1], key):
+                    red = None
             if red is not None and scalar_writes[key] == 1:
-                kind, operand, sign = red
+                kind, operand = red
+                sign = -1 if kind == "sum" and x.value.op == "-" else 1
                 svt = _vtype_name(cx, key)
                 lx.reductions.add(key)
                 fn, ovt, varies, _safe = _vexpr(lx, operand)

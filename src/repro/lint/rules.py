@@ -3,7 +3,7 @@
 Race rules (RACE001-RACE004) are thin views over one shared
 :class:`~repro.lint.races.LoopRaceAnalysis` run per PARALLEL loop;
 LINT001-LINT005 reuse the base analyses directly (def-use chains,
-reaching definitions, COMMON composition, the runtime eligibility plan,
+reaching definitions, COMMON composition, the runtime's fork verdict,
 linear symbolic evaluation).  None of them consult ``repro.dependence``.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..analysis.linear import linearize
 from ..assertions.lang import Relational
 from ..fortran import ast
-from ..interp.runtime import _summarize_unit, build_plan
+from ..interp.runtime import fork_blocker, loop_facts, summary_lookup
 from ..interproc.compose import check_common_blocks
 from ..ir.cfg import ENTRY
 from .core import Rule, register
@@ -261,23 +261,11 @@ class CommonShapeRule(Rule):
 # LINT004: runtime rejection prediction
 # --------------------------------------------------------------------------
 
-class _PlanCx:
-    """The minimal compile-context surface ``build_plan`` needs."""
-
-    def __init__(self, uir):
-        self.st = uir.symtab
-        self.uname = uir.symtab.unit_name
-        self._slots: dict[str, int] = {}
-
-    def slot(self, name: str) -> int:
-        return self._slots.setdefault(name.upper(), len(self._slots))
-
-
 @register
 class RuntimeRejectionRule(UnitRule):
-    """Predicts, from the same eligibility plan the fork-join runtime
-    builds, that a PARALLEL loop will always fall back to the serial
-    simulation — so the PARALLEL marking buys nothing."""
+    """Predicts, from the fork-join runtime's own fork verdict, that a
+    PARALLEL loop will always fall back to the serial simulation — so
+    the PARALLEL marking buys nothing."""
 
     rule_id = "LINT004"
     severity = "info"
@@ -300,41 +288,24 @@ class RuntimeRejectionRule(UnitRule):
         return out
 
     def _reject_reason(self, ctx, uir, loop) -> str | None:
-        plan = build_plan(_PlanCx(uir), loop, body=None, vslot=0,
-                          term=loop.term_label)
-        if plan.blocked is not None:
-            return plan.blocked
-        red_names = {r.name for r in plan.reductions}
-        privates = {p.upper() for p in loop.private_vars}
-        merge = (plan.written | plan.inner_vars) - red_names \
-            - {plan.var}
-        bad = sorted(merge - (privates | plan.inner_vars))
-        if bad:
-            return (f"scalar{'s' if len(bad) > 1 else ''} "
-                    f"{', '.join(bad)} written but neither private "
+        summary_of = getattr(ctx, "_summary_of", None)
+        if summary_of is None:
+            summary_of = ctx._summary_of = summary_lookup(
+                ctx.program.units, {})
+        b = fork_blocker(loop_facts(loop, uir.symtab),
+                         frozenset(loop.private_vars), summary_of,
+                         check_assertions=False)
+        if b is None:
+            return None
+        if b.static is not None:
+            return b.static
+        if b.stray:
+            return (f"scalar{'s' if len(b.stray) > 1 else ''} "
+                    f"{', '.join(b.stray)} written but neither private "
                     f"nor a recognized reduction")
-        # transitive callee closure, like the runtime's _compute_state
-        summaries = getattr(ctx, "_unit_summaries", None)
-        if summaries is None:
-            summaries = ctx._unit_summaries = {}
-        seen: set[str] = set()
-        stack = sorted(plan.callees)
-        while stack:
-            callee = stack.pop()
-            if callee in seen:
-                continue
-            seen.add(callee)
-            if callee not in summaries:
-                cu = ctx.program.units.get(callee)
-                summaries[callee] = _summarize_unit(cu) \
-                    if cu is not None else None
-            sm = summaries[callee]
-            if sm is None:
-                return f"calls {callee}, which has no unit summary"
-            if sm.blocked is not None:
-                return f"calls {callee}, which {_gloss(sm.blocked)}"
-            stack.extend(sorted(sm.callees))
-        return None
+        if b.why is None:
+            return f"calls {b.callee}, which has no unit summary"
+        return f"calls {b.callee}, which {_gloss(b.why)}"
 
 
 def _gloss(reason: str) -> str:

@@ -170,6 +170,37 @@ def test_rundiff_structure():
     assert clean == [] and clean.first_key is None
 
 
+RACY_WITH_MISSING_CALLEE = """\
+      PROGRAM P
+      INTEGER I, N
+      REAL A(40)
+      N = 40
+      DO 5 I = 1, N
+         A(I) = 0.0
+ 5    CONTINUE
+      PARALLEL DO 10 I = 2, N
+         IF (N .LT. 0) CALL EXTRN(A)
+         A(I) = A(I-1) + 1.0
+ 10   CONTINUE
+      PRINT *, A(N)
+      END
+"""
+
+
+def test_emulator_keeps_serial_what_the_runtime_will_not_fork():
+    """A racy loop that names a unit the program lacks (in a call that is
+    never taken) is refused by the fork-join runtime, so the emulator
+    must run it serially too: a divergence here would be one the real
+    execution cannot produce."""
+    from repro.ir import AnalyzedProgram
+    program = AnalyzedProgram.from_source(RACY_WITH_MISSING_CALLEE)
+    serial = run_to_sync(program, [], adversarial=False)
+    adv = run_to_sync(program, [], adversarial=True, workers=4)
+    assert serial.outputs == [39.0]
+    assert ("P", 8) in adv.serial_fallbacks
+    assert compare_runs(serial, adv) == []
+
+
 # ---------------------------------------------------------------------------
 # queue: retry, backoff, quarantine, degradation
 # ---------------------------------------------------------------------------
