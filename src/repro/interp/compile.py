@@ -47,10 +47,10 @@ from ..fortran import ast
 from ..perf import counters as perf_counters
 from ..store import MISS, declare as _declare_ns, get_store
 from .machine import (
-    COST_BRANCH, COST_CALL, COST_INTRINSIC, COST_MEMREF, COST_OP,
-    COST_STMT, COST_TERM, _TYPE_DTYPE, ArrayStorage, Frame,
-    Interpreter, Profile, RuntimeFault, StepLimitExceeded,
-    AssertionViolated, _binop, _intrinsic, _Jump,
+    COST_BRANCH, COST_CALL, COST_MEMREF, COST_STMT, COST_TERM,
+    _TYPE_DTYPE, ArrayStorage, Frame, Interpreter, Profile,
+    RuntimeFault, StepLimitExceeded, AssertionViolated, _binop,
+    _expr_cost, _intrinsic, _Jump,
     parallel_jump_fault, parallel_overhead, _pyval, _ScalarRef,
     _StopSignal,
 )
@@ -312,24 +312,6 @@ def linked_unit(uir, vector: bool = False) -> LinkedUnit:
     else:
         uir._compiled = (uir.generation, lk)
     return lk
-
-
-# --------------------------------------------------------------------------
-# Static expression cost (mirrors Interpreter._expr_cost exactly)
-# --------------------------------------------------------------------------
-
-def _expr_cost(e: ast.Expr) -> float:
-    cost = 0.0
-    for node in ast.walk_expr(e):
-        if isinstance(node, ast.BinOp):
-            cost += COST_OP.get(node.op, 1)
-        elif isinstance(node, ast.UnOp):
-            cost += 1
-        elif isinstance(node, ast.ArrayRef):
-            cost += COST_MEMREF
-        elif isinstance(node, ast.FuncRef):
-            cost += COST_INTRINSIC if node.intrinsic else COST_CALL
-    return cost
 
 
 # --------------------------------------------------------------------------
@@ -1191,10 +1173,11 @@ def _comp_do(cx: _Cx, s: ast.DoLoop, idx: int):
         fr.lf[lidx] = 1
         t0 = rt.clock
         runner = rt._runtime
-        if runner is not None and trips > 1 and \
+        if runner is not None and \
                 runner.try_execute(fr, plan, lidx, start, step, trips):
-            # executed for real on the worker pool; the runtime has
-            # already collapsed the clock and merged worker state
+            # executed by the runner (the worker pool, or the relative
+            # debugger's adversarial schedule); it has already collapsed
+            # the clock and merged the forked state
             fr.lt[lidx] += rt.clock - t0
             fr.ltf[lidx] = 1
             return None

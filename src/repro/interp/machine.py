@@ -227,6 +227,22 @@ def set_parallel_overhead(value: float | None) -> None:
     _overhead_override = None if value is None else float(value)
 
 
+def _expr_cost(e: ast.Expr) -> float:
+    """Virtual-clock cost of evaluating an expression; every engine
+    charges it (the compiled ones once per statement, at compile time)."""
+    cost = 0.0
+    for node in ast.walk_expr(e):
+        if isinstance(node, ast.BinOp):
+            cost += COST_OP.get(node.op, 1)
+        elif isinstance(node, ast.UnOp):
+            cost += 1
+        elif isinstance(node, ast.ArrayRef):
+            cost += COST_MEMREF
+        elif isinstance(node, ast.FuncRef):
+            cost += COST_INTRINSIC if node.intrinsic else COST_CALL
+    return cost
+
+
 def parallel_jump_fault(line: int) -> RuntimeFault:
     """The one "jump out of a PARALLEL DO" fault both engines raise."""
     return RuntimeFault(f"line {line}: jump out of a PARALLEL DO")
@@ -543,7 +559,7 @@ class Interpreter:
                 f"line {s.line}: cannot execute un-lowered statement "
                 f"({s.kind}): {s.text}")
         if isinstance(s, ast.Assign):
-            self._tick(self._expr_cost(s.value) + COST_MEMREF)
+            self._tick(_expr_cost(s.value) + COST_MEMREF)
             value = self._eval_in(s.value, frame)
             self._store(s.target, value, frame)
             return
@@ -551,7 +567,7 @@ class Interpreter:
             self._exec_do(s, frame)
             return
         if isinstance(s, ast.IfBlock):
-            self._tick(COST_BRANCH + self._expr_cost(s.cond))
+            self._tick(COST_BRANCH + _expr_cost(s.cond))
             if _truth(self._eval_in(s.cond, frame)):
                 self._exec_block(s.then_body, frame)
                 return
@@ -563,12 +579,12 @@ class Interpreter:
                 self._exec_block(s.else_body, frame)
             return
         if isinstance(s, ast.LogicalIf):
-            self._tick(COST_BRANCH + self._expr_cost(s.cond))
+            self._tick(COST_BRANCH + _expr_cost(s.cond))
             if _truth(self._eval_in(s.cond, frame)):
                 self._exec_stmt(s.stmt, frame)
             return
         if isinstance(s, ast.ArithIf):
-            self._tick(COST_BRANCH + self._expr_cost(s.expr))
+            self._tick(COST_BRANCH + _expr_cost(s.expr))
             v = self._eval_in(s.expr, frame)
             if v < 0:
                 raise _Jump(s.neg_label)
@@ -642,7 +658,7 @@ class Interpreter:
         else:
             v = start
             for _ in range(trips):
-                frame.scalars[s.var] = _norm_int(v)
+                frame.scalars[s.var] = v
                 try:
                     self._exec_block(s.body, frame)
                 except _Jump as j:
@@ -651,7 +667,7 @@ class Interpreter:
                     else:
                         raise
                 v = v + step
-            frame.scalars[s.var] = _norm_int(v)
+            frame.scalars[s.var] = v
         self.profile.loop_time[s.uid] = \
             self.profile.loop_time.get(s.uid, 0.0) + (self.clock - t0)
 
@@ -660,15 +676,17 @@ class Interpreter:
         """Fork-join simulation: wall time = max iteration time + overhead.
 
         Iterations run sequentially for determinism (the loop was proved
-        dependence-free, so order cannot matter); private variables get a
-        fresh value per iteration and are restored afterwards.
+        dependence-free, so order cannot matter).  Private variables are
+        not copied or restored: they keep the last iteration's value
+        (last-value privatization), which is what the fork-join
+        runtime's join produces too.
         """
         t0 = self.clock
         max_iter = 0.0
         v = start
         for _ in range(trips):
             it_start = self.clock
-            frame.scalars[s.var] = _norm_int(v)
+            frame.scalars[s.var] = v
             try:
                 self._exec_block(s.body, frame)
             except _Jump as j:
@@ -676,10 +694,7 @@ class Interpreter:
                     raise parallel_jump_fault(s.line)
             max_iter = max(max_iter, self.clock - it_start)
             v = v + step
-        frame.scalars[s.var] = _norm_int(v)
-        # Private variables keep the logically-last iteration's value
-        # (last-value privatization semantics), which the sequential
-        # simulation provides naturally.
+        frame.scalars[s.var] = v
         # collapse to fork-join wall time
         self.clock = t0 + max_iter + (parallel_overhead() if trips
                                       else 0.0)
@@ -719,19 +734,6 @@ class Interpreter:
         return self._eval_in(a, frame)
 
     # -- expression evaluation ----------------------------------------------------
-
-    def _expr_cost(self, e: ast.Expr) -> float:
-        cost = 0.0
-        for node in ast.walk_expr(e):
-            if isinstance(node, ast.BinOp):
-                cost += COST_OP.get(node.op, 1)
-            elif isinstance(node, ast.UnOp):
-                cost += 1
-            elif isinstance(node, ast.ArrayRef):
-                cost += COST_MEMREF
-            elif isinstance(node, ast.FuncRef):
-                cost += COST_INTRINSIC if node.intrinsic else COST_CALL
-        return cost
 
     def _eval_in(self, e: ast.Expr, frame: Frame):
         if isinstance(e, ast.IntConst):
@@ -823,12 +825,6 @@ class _ScalarRef:
 
 def _truth(v) -> bool:
     return bool(v)
-
-
-def _norm_int(v):
-    if isinstance(v, float) and v == int(v):
-        return v
-    return v
 
 
 def _pyval(v):

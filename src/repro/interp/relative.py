@@ -37,6 +37,13 @@ the fleet's divergence bisector (:mod:`repro.fleet.bisect`):
   ``force_reassociation=True`` is the verdict's ``allow_inexact``: it
   lets a REAL sum or product count as a reduction, to demonstrate what
   reassociating it would do.
+
+* :class:`AdversarialRuntime` -- the same schedule for the
+  closure-compiled engine, plugged in where the fork-join runtime
+  would be.  It has no sync numbering, so it serves whole-run checks
+  (the fleet's verify stage, ``PedSession.verify_parallel``); the
+  bisector's halted probes stay on the tree walker, and the tree
+  emulator remains the differential reference.
 """
 
 from __future__ import annotations
@@ -44,14 +51,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..fortran import ast
-from .machine import Interpreter, _Jump, _norm_int, parallel_jump_fault, \
+from .compile import _UNSET, CompiledInterpreter
+from .machine import Interpreter, _Jump, parallel_jump_fault, \
     parallel_overhead
 from .runtime import fork_blocker, interleaved_order, loop_facts, \
     summary_lookup
 
 __all__ = [
     "SyncHalt", "SyncRecord", "SyncPointInterpreter",
-    "AdversarialInterpreter", "run_to_sync",
+    "AdversarialInterpreter", "AdversarialRuntime", "run_to_sync",
 ]
 
 
@@ -152,15 +160,7 @@ class AdversarialInterpreter(SyncPointInterpreter):
                              frozenset(s.private_vars), self._summary_of,
                              self.assertion_checker is not None,
                              allow_inexact=self.force_reassociation)
-            if b is None:
-                why = None
-            elif b.static is not None:
-                why = b.static
-            elif b.stray:
-                why = f"writes shared scalar {b.stray[0]}"
-            else:
-                why = f"callee {b.callee}: {b.why or 'no program unit'}"
-            self._verdicts[key] = why
+            self._verdicts[key] = None if b is None else b.reason()
         return self._verdicts[key]
 
     def _exec_parallel_do(self, s, frame, start, step, trips):
@@ -187,7 +187,7 @@ class AdversarialInterpreter(SyncPointInterpreter):
                 env = chunk_priv.setdefault(ci, dict(saved))
                 for p in privs:
                     frame.scalars[p] = env[p]
-                frame.scalars[s.var] = _norm_int(start + k * step)
+                frame.scalars[s.var] = start + k * step
                 self.outputs = []
                 it_start = self.clock
                 try:
@@ -205,7 +205,7 @@ class AdversarialInterpreter(SyncPointInterpreter):
             # join: the loop variable takes its sequential exit value;
             # worker-private last values are discarded (the race the
             # shadow reports as a privatization violation)
-            frame.scalars[s.var] = _norm_int(start + trips * step)
+            frame.scalars[s.var] = start + trips * step
             for p in privs:
                 frame.scalars[p] = saved[p]
             for _, items in sorted(per_iter_out, key=lambda kv: kv[0]):
@@ -216,13 +216,130 @@ class AdversarialInterpreter(SyncPointInterpreter):
             self._par_depth -= 1
 
 
+class AdversarialRuntime:
+    """:class:`AdversarialInterpreter`'s schedule for the compiled engine.
+
+    It is attached to a :class:`~repro.interp.compile.CompiledInterpreter`
+    in place of the fork-join runtime and answers the same
+    ``try_execute`` hook from ``compile._comp_do``.  A loop the fork
+    verdict admits runs on the calling thread, on the one shared
+    register file, in :func:`~repro.interp.runtime.interleaved_order`:
+    only the private slots are swapped per chunk (reductions and other
+    shared scalars stay shared, as in the tree emulator), WRITE output
+    is merged by iteration index, and the privates get their pre-loop
+    values back at the join.  Observables and ``serial_fallbacks`` are
+    those of the tree emulator.
+    """
+
+    def __init__(self, workers: int = 4, schedule: str = "static",
+                 force_reassociation: bool = False):
+        self.workers = max(1, int(workers))
+        self.schedule = schedule
+        self.force_reassociation = force_reassociation
+        #: (unit, line) -> reason, for loops kept serial
+        self.serial_fallbacks: dict[tuple, str] = {}
+        self._verdicts: dict = {}       # (unit, loop index) -> reason | None
+        self._summaries: dict = {}
+
+    def _verdict(self, rt, plan, lk, lidx) -> str | None:
+        key = (lk.code.name, lidx)
+        if key not in self._verdicts:
+            b = fork_blocker(plan.facts, lk.loop_privates[lidx],
+                             summary_lookup(rt.program.units,
+                                            self._summaries),
+                             rt.assertion_checker is not None,
+                             allow_inexact=self.force_reassociation)
+            self._verdicts[key] = None if b is None else b.reason()
+        return self._verdicts[key]
+
+    def try_execute(self, fr, plan, lidx, start, step, trips) -> bool:
+        """Run the loop under the adversarial schedule; False = the
+        caller runs the serial simulation."""
+        rt = fr.rt
+        lk = fr.lk
+        blocked = self._verdict(rt, plan, lk, lidx)
+        if blocked is not None:
+            self.serial_fallbacks[(lk.code.name, plan.line)] = blocked
+            return False
+        if trips <= 0 or self.workers <= 1:
+            return False
+        regs = fr.regs
+        reg_index = lk.code.reg_index
+        # like the tree emulator, privatize only scalars that already
+        # hold a value; an unset one stays shared across chunks
+        privs = []
+        for name in sorted({p.upper() for p in lk.loop_privates[lidx]}):
+            i = reg_index.get(name)
+            if i is not None and regs[i] is not _UNSET:
+                privs.append(i)
+        saved = [regs[i] for i in privs]
+        chunk_priv: dict[int, list] = {}
+        per_iter_out: list[tuple[int, list]] = []
+        body, vslot, term = plan.body, plan.vslot, plan.term
+        outer_outputs = rt.outputs
+        t0 = rt.clock
+        max_iter = 0.0
+        try:
+            for ci, k in interleaved_order(trips, self.workers,
+                                           self.schedule):
+                env = chunk_priv.get(ci)
+                if env is None:
+                    env = chunk_priv[ci] = list(saved)
+                for i, v in zip(privs, env):
+                    regs[i] = v
+                regs[vslot] = start + k * step
+                rt.outputs = out = []
+                it_start = rt.clock
+                sig = body(fr)
+                if sig is not None and \
+                        not (type(sig) is int and sig == term):
+                    raise parallel_jump_fault(plan.line)
+                if out:
+                    per_iter_out.append((k, out))
+                d = rt.clock - it_start
+                if d > max_iter:
+                    max_iter = d
+                env[:] = [regs[i] for i in privs]
+        finally:
+            rt.outputs = outer_outputs
+        # join: as AdversarialInterpreter._exec_parallel_do
+        regs[vslot] = start + trips * step
+        for i, v in zip(privs, saved):
+            regs[i] = v
+        for _, items in sorted(per_iter_out, key=lambda kv: kv[0]):
+            outer_outputs.extend(items)
+        rt.clock = t0 + max_iter + parallel_overhead()
+        return True
+
+
 def run_to_sync(program, inputs, adversarial: bool,
                 halt_at: int | None = None, workers: int = 4,
                 schedule: str = "static",
                 force_reassociation: bool = False,
-                max_steps: int = 5_000_000):
+                max_steps: int = 5_000_000, engine: str = "tree"):
     """One (possibly halted) execution for the bisector: serial
-    reference or adversarial parallel, same sync numbering."""
+    reference or adversarial parallel, same sync numbering.
+
+    ``engine="compiled"`` runs the closure compiler instead (with an
+    :class:`AdversarialRuntime` for the adversarial run): the same
+    observables and ``serial_fallbacks``, several times faster, but no
+    sync numbering, so ``halt_at`` needs the tree walker.
+    """
+    if engine == "compiled":
+        if halt_at is not None:
+            raise ValueError("halt_at needs engine='tree': only the "
+                             "tree walker numbers sync points")
+        interp = CompiledInterpreter(program, list(inputs or []),
+                                     max_steps=max_steps)
+        if adversarial:
+            interp._runtime = AdversarialRuntime(workers, schedule,
+                                                 force_reassociation)
+            interp.serial_fallbacks = interp._runtime.serial_fallbacks
+        interp.run()
+        return interp
+    if engine != "tree":
+        raise ValueError(f"unknown engine {engine!r} (expected 'tree' "
+                         f"or 'compiled')")
     if adversarial:
         interp = AdversarialInterpreter(
             program, list(inputs or []), workers=workers,

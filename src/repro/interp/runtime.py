@@ -517,6 +517,14 @@ class ForkBlocker(NamedTuple):
     #: that callee's summary reason; None means it has no program unit
     why: str | None = None
 
+    def reason(self) -> str:
+        """The one-line fallback reason the relative debugger records."""
+        if self.static is not None:
+            return self.static
+        if self.stray:
+            return f"writes shared scalar {self.stray[0]}"
+        return f"callee {self.callee}: {self.why or 'no program unit'}"
+
 
 def fork_blocker(facts: LoopFacts, privates, summary_of,
                  check_assertions: bool,
@@ -811,7 +819,11 @@ class ParallelRuntime:
 
     def try_execute(self, fr, plan, lidx, start, step, trips) -> bool:
         """Execute the loop for real; False = caller runs the serial
-        simulation (the byte-identical fallback)."""
+        simulation (the byte-identical fallback).  A loop of at most
+        one trip has nothing to fork and is declined without counting a
+        fallback."""
+        if trips <= 1:
+            return False
         rt = fr.rt
         if type(start) is not int or type(step) is not int:
             perf_counters.bump("par_fallbacks")

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..fortran import ast
-from .machine import Interpreter, _Jump, _norm_int, parallel_jump_fault, \
+from .machine import Interpreter, _Jump, parallel_jump_fault, \
     parallel_overhead, ArrayStorage, Frame, _ScalarRef
 from .runtime import chunk_ranges, loop_facts
 
@@ -291,7 +291,7 @@ class ShadowInterpreter(Interpreter):
             for _ in range(trips):
                 rec.begin_iteration()
                 it_start = self.clock
-                frame.scalars[s.var] = _norm_int(v)
+                frame.scalars[s.var] = v
                 try:
                     self._exec_block(s.body, frame)
                 except _Jump as j:
@@ -299,7 +299,7 @@ class ShadowInterpreter(Interpreter):
                         raise parallel_jump_fault(s.line)
                 max_iter = max(max_iter, self.clock - it_start)
                 v = v + step
-            frame.scalars[s.var] = _norm_int(v)
+            frame.scalars[s.var] = v
             self.clock = t0 + max_iter + (parallel_overhead() if trips
                                           else 0.0)
         finally:

@@ -42,10 +42,10 @@ import numpy as np
 
 from ..fortran import ast
 from ..perf import counters as perf_counters
-from .machine import COST_MEMREF, COST_TERM, parallel_overhead
+from .machine import COST_MEMREF, COST_TERM, _expr_cost, \
+    parallel_overhead
 from .compile import (
-    _MISSING, CompiledInterpreter, _comp_expr, _comp_varref, _expr_cost,
-    linked_unit,
+    _MISSING, CompiledInterpreter, _comp_expr, _comp_varref, linked_unit,
 )
 from .runtime import _MAXFNS, _MINFNS, _red_match
 
