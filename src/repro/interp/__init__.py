@@ -19,7 +19,7 @@ from .machine import ArrayStorage, AssertionViolated, Interpreter, Profile, \
     RuntimeFault, StepLimitExceeded, parallel_overhead, \
     set_parallel_overhead
 from .runtime import SCHEDULES, ParallelRuntime, chunk_ranges, \
-    resolve_pool_kind, resolve_schedule, resolve_workers
+    resolve_schedule, resolve_workers
 from .shadow import DynamicRace, ShadowInterpreter, ShadowLoopLog, \
     dynamic_races, races_under, run_shadow
 from .vectorize import LoopDecision, VectorInterpreter, lowering_decisions
@@ -36,7 +36,7 @@ __all__ = [
     "ENGINES", "make_interpreter", "resolve_engine",
     "compile_cache_info", "clear_code_cache",
     "ParallelRuntime", "SCHEDULES", "chunk_ranges",
-    "resolve_workers", "resolve_schedule", "resolve_pool_kind",
+    "resolve_workers", "resolve_schedule",
     "parallel_overhead", "set_parallel_overhead",
     "ShadowInterpreter", "ShadowLoopLog", "DynamicRace",
     "dynamic_races", "races_under", "run_shadow",

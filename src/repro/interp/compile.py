@@ -125,10 +125,10 @@ class UnitCode:
 
     __slots__ = ("name", "kind", "n_params", "invoke", "n_stmts",
                  "n_loops", "reg_index", "arr_index", "n_regs", "n_arrs",
-                 "par_plans", "vec_info")
+                 "vec_info")
 
     def __init__(self, name, kind, n_params, invoke, n_stmts, n_loops,
-                 reg_index, arr_index, par_plans=None, vec_info=None):
+                 reg_index, arr_index, vec_info=None):
         self.name = name
         self.kind = kind
         self.n_params = n_params
@@ -139,8 +139,6 @@ class UnitCode:
         self.arr_index = arr_index
         self.n_regs = len(reg_index)
         self.n_arrs = len(arr_index)
-        #: dense loop index -> runtime.ParLoopPlan for PARALLEL DO loops
-        self.par_plans = par_plans if par_plans is not None else {}
         #: dense loop index -> vectorize.LoopDecision (vector tier only)
         self.vec_info = vec_info if vec_info is not None else {}
 
@@ -344,8 +342,6 @@ class _Cx:
         self.loop_idx_of = {id(s): i for i, s in enumerate(loops)}
         self.n_stmts = len(walk)
         self.n_loops = len(loops)
-        #: dense loop index -> ParLoopPlan, filled by _comp_do
-        self.par_plans: dict[int, object] = {}
 
     def slot(self, name: str) -> int:
         key = name.upper()
@@ -1156,7 +1152,6 @@ def _comp_do(cx: _Cx, s: ast.DoLoop, idx: int):
         return op
 
     plan = build_plan(cx, s, body, vslot, term)
-    cx.par_plans[lidx] = plan
 
     def op(fr):
         fr.cnt[idx] += 1
@@ -1555,7 +1550,7 @@ def _compile_unit(unit: ast.ProgramUnit, st,
 
     code = UnitCode(uname, kind, n_params, invoke, cx.n_stmts,
                     cx.n_loops, dict(cx.reg_index), dict(cx.arr_index),
-                    cx.par_plans, cx.vec_info)
+                    cx.vec_info)
     return code
 
 
@@ -1592,8 +1587,6 @@ class CompiledInterpreter:
         self._shim = None
         #: real fork-join executor for PARALLEL DO (None = simulate)
         self._runtime = None
-        #: loop uid -> measured fork-join stats (filled by the runtime)
-        self._par_stats: dict[int, dict] = {}
         if workers is not None and workers >= 1:
             from .runtime import ParallelRuntime
             self._runtime = ParallelRuntime(workers, schedule)

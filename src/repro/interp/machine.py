@@ -22,7 +22,6 @@ view, scalar variables copy in/out.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -203,26 +202,19 @@ _overhead_override: float | None = None
 def parallel_overhead() -> float:
     """The fork-join startup charge, calibratable per machine.
 
-    Resolution order: :func:`set_parallel_overhead` (session setting) >
-    the ``REPRO_PARALLEL_OVERHEAD`` environment variable > the
-    :data:`PARALLEL_OVERHEAD` default.  Both engines and the static
-    estimator read it through this accessor at loop-execution time, so a
-    calibration applies without recompiling cached units.
+    The value set by :func:`set_parallel_overhead` (the session setting),
+    else the :data:`PARALLEL_OVERHEAD` default.  Both engines and the
+    static estimator read it through this accessor at loop-execution
+    time, so a calibration applies without recompiling cached units.
     """
     if _overhead_override is not None:
         return _overhead_override
-    env = os.environ.get("REPRO_PARALLEL_OVERHEAD")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            pass
     return PARALLEL_OVERHEAD
 
 
 def set_parallel_overhead(value: float | None) -> None:
     """Set (or with ``None`` clear) the process-wide overhead
-    calibration; takes precedence over the environment variable."""
+    calibration."""
     global _overhead_override
     _overhead_override = None if value is None else float(value)
 

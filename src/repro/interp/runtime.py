@@ -3,11 +3,11 @@
 The serial engines *simulate* a ``PARALLEL DO``: they run every
 iteration on one thread and then collapse the virtual clock to
 ``max(iteration) + overhead``.  This module executes eligible loops for
-real on a persistent worker pool (threads by default, processes with
-``REPRO_EXEC_POOL=process``) while keeping the simulated engines as the
-differential oracle: for any worker count and either schedule the run
-must produce **byte-identical** ``snapshot()`` observables, step counts,
-virtual clocks, and profiles.
+real on a persistent thread pool while keeping the simulated engines as
+the differential oracle: for any worker count and either schedule the
+run must produce **byte-identical** ``snapshot()`` observables, step
+counts, virtual clocks, and profiles.  Threads share the frame's
+``ArrayStorage`` directly, so the serial memory model holds as is.
 
 How byte-identity survives real parallelism:
 
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from typing import NamedTuple
 
 import numpy as np
@@ -52,8 +51,7 @@ import numpy as np
 from ..fortran import ast
 from ..perf import counters as perf_counters
 from .machine import (
-    _TYPE_DTYPE, ArrayStorage, RuntimeFault, StepLimitExceeded,
-    parallel_jump_fault, parallel_overhead,
+    StepLimitExceeded, parallel_jump_fault, parallel_overhead,
 )
 
 __all__ = [
@@ -61,7 +59,7 @@ __all__ = [
     "build_plan", "loop_facts", "fork_blocker", "summary_lookup",
     "chunk_ranges",
     "interleaved_order", "resolve_workers", "resolve_schedule",
-    "resolve_pool_kind", "SCHEDULES",
+    "SCHEDULES",
 ]
 
 SCHEDULES = ("static", "dynamic")
@@ -69,28 +67,29 @@ SCHEDULES = ("static", "dynamic")
 #: dynamic schedule: aim for this many chunks per worker
 _DYNAMIC_CHUNKS_PER_WORKER = 4
 
-#: pickle-safe stand-in for the compile-module _UNSET sentinel
-_UNSET_TOKEN = "\x00__REPRO_UNSET__\x00"
-
 
 def resolve_workers(workers: int | None = None) -> int | None:
     """Worker count: explicit argument > ``REPRO_EXEC_WORKERS`` > None
     (None = keep the serial simulation; 1 = run the fork-join runtime
-    inline, exercising the chunk/merge machinery without a pool)."""
+    inline, exercising the chunk/merge machinery without a pool).  An
+    empty ``REPRO_EXEC_WORKERS`` counts as unset; any other value that
+    is not an integer >= 1 raises ``ValueError``."""
     if workers is not None:
         w = int(workers)
         if w < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         return w
     env = os.environ.get("REPRO_EXEC_WORKERS")
-    if env:
-        try:
-            w = int(env)
-        except ValueError:
-            return None
-        if w >= 1:
-            return w
-    return None
+    if not env:
+        return None
+    try:
+        w = int(env)
+    except ValueError:
+        w = 0
+    if w < 1:
+        raise ValueError(
+            f"REPRO_EXEC_WORKERS must be an integer >= 1, got {env!r}")
+    return w
 
 
 def resolve_schedule(schedule: str | None = None) -> str:
@@ -101,22 +100,6 @@ def resolve_schedule(schedule: str | None = None) -> str:
         raise ValueError(
             f"unknown schedule {s!r} (expected one of {SCHEDULES})")
     return s
-
-
-def resolve_pool_kind(kind: str | None = None) -> str:
-    """Pool kind: explicit > ``REPRO_EXEC_POOL`` > thread.
-
-    Threads are the default because loop bodies are storage-bound
-    (ArrayStorage/numpy writes release no state to re-shard) and shared
-    storage preserves the serial memory model exactly; the process pool
-    ships arrays through ``multiprocessing.shared_memory``.
-    """
-    k = kind or os.environ.get("REPRO_EXEC_POOL") or "thread"
-    k = k.lower()
-    if k not in ("thread", "process"):
-        raise ValueError(
-            f"unknown pool kind {k!r} (expected thread or process)")
-    return k
 
 
 def chunk_ranges(trips: int, workers: int, schedule: str) -> list:
@@ -569,8 +552,7 @@ def build_plan(cx, s: ast.DoLoop, body, vslot, term) -> ParLoopPlan:
     """The loop's facts plus its register slots.
 
     Called by ``compile._comp_do`` with the unit's compile context; the
-    plan is registered in ``UnitCode.par_plans`` (dense loop index) so
-    process-pool workers can recover it from their own compile.
+    compiled PARALLEL DO op holds the plan it returns.
     """
     facts = loop_facts(s, cx.st)
     reds = sorted((RedPlan(name, cx.slot(name), kind, tname)
@@ -590,8 +572,7 @@ class _WorkerRT:
     __slots__ = ("program", "inputs", "_input_pos", "outputs",
                  "max_steps", "steps", "clock", "check_assertions",
                  "assertion_checker", "_globals", "_global_arrays",
-                 "_lk", "_prof", "_unit_time", "_unit_calls", "_runtime",
-                 "_par_stats")
+                 "_lk", "_prof", "_unit_time", "_unit_calls", "_runtime")
 
     def __init__(self, program, globals_, global_arrays, max_steps,
                  lk_map):
@@ -611,7 +592,6 @@ class _WorkerRT:
         self._unit_time = {}
         self._unit_calls = {}
         self._runtime = None          # nested PARALLEL DO simulates
-        self._par_stats = {}
 
     def _linked(self, name):
         return self._lk.get(name)
@@ -620,14 +600,13 @@ class _WorkerRT:
 class _ChunkRec:
     """Per-chunk results, merged at the join in chunk (iteration) order."""
 
-    __slots__ = ("ci", "steps", "clock", "max_iter", "outputs",
-                 "partials", "finals", "fault")
+    __slots__ = ("ci", "steps", "max_iter", "outputs", "partials",
+                 "finals", "fault")
 
-    def __init__(self, ci, steps, clock, max_iter, outputs, partials,
-                 finals, fault):
+    def __init__(self, ci, steps, max_iter, outputs, partials, finals,
+                 fault):
         self.ci = ci
         self.steps = steps
-        self.clock = clock
         self.max_iter = max_iter
         self.outputs = outputs
         self.partials = partials
@@ -717,7 +696,6 @@ def _run_chunks(wrt, lk, plan, state, regs0, arrs, start, step, chunks):
                         acc[3], acc[4])
         out_mark = len(wrt.outputs)
         steps0 = wrt.steps
-        clock0 = wrt.clock
         max_iter = 0.0
         v = start + off * step
         fault = None
@@ -736,8 +714,7 @@ def _run_chunks(wrt, lk, plan, state, regs0, arrs, start, step, chunks):
         except Exception as e:
             fault = e
         out.append(_ChunkRec(
-            ci, wrt.steps - steps0, wrt.clock - clock0, max_iter,
-            wrt.outputs[out_mark:],
+            ci, wrt.steps - steps0, max_iter, wrt.outputs[out_mark:],
             [regs[r.slot] for r in reds],
             [regs[sl] for sl in unset_slots], fault))
         if fault is not None:
@@ -753,13 +730,11 @@ class ParallelRuntime:
     """Per-interpreter fork-join executor (the pool itself is shared
     process-wide; see ``perf.pool.shared_executor``)."""
 
-    def __init__(self, workers: int, schedule: str | None = None,
-                 pool_kind: str | None = None):
+    def __init__(self, workers: int, schedule: str | None = None):
         self.workers = int(workers)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         self.schedule = resolve_schedule(schedule)
-        self.pool_kind = resolve_pool_kind(pool_kind)
         #: (id(lk), lidx, checker?) -> execution state dict | None
         self._state: dict = {}
         #: unit name -> _UnitSummary | None (missing unit)
@@ -852,38 +827,14 @@ class ParallelRuntime:
             if name not in rt._global_arrays:
                 perf_counters.bump("par_fallbacks")
                 return False
-        self._execute(fr, plan, lidx, state, red_inits, start, step,
-                      trips)
+        self._execute(fr, plan, state, red_inits, start, step, trips)
         return True
 
-    def _execute(self, fr, plan, lidx, state, red_inits, start, step,
-                 trips):
-        rt = fr.rt
-        t_wall = time.perf_counter()
+    def _execute(self, fr, plan, state, red_inits, start, step, trips):
         chunks = chunk_ranges(trips, self.workers, self.schedule)
         state = dict(state, red_inits=red_inits)
-        if self.pool_kind == "process" and self.workers > 1:
-            recs = self._run_process(fr, plan, lidx, state, start, step,
-                                     chunks)
-        else:
-            recs = self._run_threads(fr, plan, state, start, step,
-                                     chunks)
+        recs = self._run_threads(fr, plan, state, start, step, chunks)
         self._join(fr, plan, state, start, step, trips, recs)
-        uid = fr.lk.loop_uids[lidx]
-        stats = rt._par_stats.get(uid)
-        if stats is None:
-            stats = rt._par_stats[uid] = {
-                "entries": 0, "chunks": 0, "iters": 0, "wall": 0.0,
-                "virtual_serial": 0.0, "virtual_parallel": 0.0,
-                "workers": self.workers, "schedule": self.schedule,
-            }
-        stats["entries"] += 1
-        stats["chunks"] += len(chunks)
-        stats["iters"] += trips
-        stats["wall"] += time.perf_counter() - t_wall
-        stats["virtual_serial"] += sum(r.clock for r in recs)
-        stats["virtual_parallel"] += (
-            max(r.max_iter for r in recs) + parallel_overhead())
         perf_counters.bump("par_loops")
         perf_counters.bump("par_chunks", len(chunks))
 
@@ -1001,192 +952,5 @@ class ParallelRuntime:
                 f"exceeded {rt.max_steps} interpreter steps")
         rt.clock = rt.clock + max_iter + parallel_overhead()
 
-    # -- process-pool execution --------------------------------------------
-
-    def _run_process(self, fr, plan, lidx, state, start, step, chunks):
-        from multiprocessing import shared_memory
-
-        rt = fr.rt
-        lk = fr.lk
-        eng = _engine()
-        unset = eng._UNSET
-        from ..fortran.printer import print_program
-        src = print_program(rt.program.ast)
-
-        # ship every frame/global array through shared memory (dedup by
-        # storage identity so COMMON aliases stay aliased)
-        shms = []
-        descr_of: dict[int, tuple] = {}
-
-        def describe(a: ArrayStorage):
-            d = descr_of.get(id(a))
-            if d is None:
-                data = np.asfortranarray(a.data)
-                shm = shared_memory.SharedMemory(create=True,
-                                                 size=data.nbytes)
-                view = np.ndarray(data.shape, dtype=data.dtype,
-                                  buffer=shm.buf, order="F")
-                view[...] = data
-                shms.append((shm, a))
-                d = descr_of[id(a)] = (
-                    shm.name, data.shape, a.lowers, data.dtype.str,
-                    a.name)
-            return d
-
-        arr_descrs = [describe(a) if a is not None else None
-                      for a in fr.arrs]
-        garr_descrs = {name: describe(a)
-                       for name, a in rt._global_arrays.items()}
-        regs0 = [(_UNSET_TOKEN if v is unset else v) for v in fr.regs]
-        payload_base = {
-            "src": src,
-            "unit": lk.code.name,
-            "lidx": lidx,
-            "start": start,
-            "step": step,
-            "regs0": regs0,
-            "globals": dict(rt._globals),
-            "arr_descrs": arr_descrs,
-            "garr_descrs": garr_descrs,
-            "unset_slots": state["unset_slots"],
-            "reds": [(r.name, r.kind, r.type_name)
-                     for r in state["reds"]],
-            "red_inits": [(_UNSET_TOKEN if v is unset else v)
-                          for v in state["red_inits"]],
-            "max_steps": rt.max_steps,
-        }
-        from ..perf.pool import shared_executor
-        ex = shared_executor("process", self.workers)
-        try:
-            futures = [ex.submit(_process_chunk, payload_base, chunk)
-                       for chunk in chunks]
-            results = [f.result() for f in futures]
-        finally:
-            for shm, a in shms:
-                view = np.ndarray(np.asfortranarray(a.data).shape,
-                                  dtype=a.data.dtype, buffer=shm.buf,
-                                  order="F")
-                a.data[...] = view
-                shm.close()
-                shm.unlink()
-        lk_map = self._lk_map(rt)
-        recs = []
-        for res in results:
-            recs.append(_ChunkRec(
-                res["ci"], res["steps"], res["clock"], res["max_iter"],
-                res["outputs"],
-                res["partials"],
-                [unset if v == _UNSET_TOKEN else v
-                 for v in res["finals"]],
-                res["fault"]))
-            rt._globals.update(res["globals"])
-            for uname, (cnt, li, lt, lf, ltf) in res["prof"].items():
-                lk2 = lk_map.get(uname)
-                if lk2 is None:
-                    continue
-                wrt = _WorkerRT(rt.program, {}, {}, rt.max_steps, {})
-                wrt._prof[lk2] = (list(cnt), list(li), list(lt),
-                                  bytearray(lf), bytearray(ltf))
-                wrt._unit_time = {}
-                wrt._unit_calls = {}
-                self._merge_worker(rt, wrt)
-            ut = rt._unit_time
-            for name, t in res["unit_time"].items():
-                ut[name] = ut.get(name, 0.0) + t
-            uc = rt._unit_calls
-            for name, n in res["unit_calls"].items():
-                uc[name] = uc.get(name, 0) + n
-        return recs
-
 
 _NOT_CACHED = object()
-
-
-# --------------------------------------------------------------------------
-# Process-pool worker side
-# --------------------------------------------------------------------------
-
-#: worker-side compile cache: source text -> AnalyzedProgram
-_WORKER_PROGRAMS: dict = {}
-
-
-def _attach_array(descr, held):
-    from multiprocessing import shared_memory
-    shm_name, shape, lowers, dtype, name = descr
-    shm = held.get(shm_name)
-    if shm is None:
-        shm = held[shm_name] = shared_memory.SharedMemory(name=shm_name)
-    view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf,
-                      order="F")
-    return ArrayStorage(name, view, tuple(lowers))
-
-
-def _process_chunk(payload, chunk):
-    """Execute one chunk in a pool process against shared-memory arrays.
-
-    The worker compiles the shipped source once per process (cached by
-    text); dense slot/loop index spaces are structural, so they match
-    the parent's exactly.
-    """
-    eng = _engine()
-    unset = eng._UNSET
-    src = payload["src"]
-    program = _WORKER_PROGRAMS.get(src)
-    if program is None:
-        from ..ir import AnalyzedProgram
-        program = _WORKER_PROGRAMS[src] = \
-            AnalyzedProgram.from_source(src)
-    lk_map = {name: eng.linked_unit(uir)
-              for name, uir in program.units.items()}
-    lk = lk_map[payload["unit"]]
-    plan = lk.code.par_plans[payload["lidx"]]
-
-    held: dict = {}
-    try:
-        garrs = {name: _attach_array(d, held)
-                 for name, d in payload["garr_descrs"].items()}
-        arrs = [(_attach_array(d, held) if d is not None else None)
-                for d in payload["arr_descrs"]]
-        regs0 = [(unset if v == _UNSET_TOKEN else v)
-                 for v in payload["regs0"]]
-        reds = tuple(RedPlan(name, lk.code.reg_index[name], kind, tname)
-                     for name, kind, tname in payload["reds"])
-        state = {
-            "unset_slots": tuple(payload["unset_slots"]),
-            "reds": reds,
-            "red_inits": [(unset if v == _UNSET_TOKEN else v)
-                          for v in payload["red_inits"]],
-        }
-        wrt = _WorkerRT(program, dict(payload["globals"]), garrs,
-                        payload["max_steps"], lk_map)
-        recs = _run_chunks(wrt, lk, plan, state, regs0, arrs,
-                           payload["start"], payload["step"], [chunk])
-        r = recs[0]
-        prof = {}
-        for lk2, (cnt, li, lt, lf, ltf) in wrt._prof.items():
-            prof[lk2.code.name] = (list(cnt), list(li), list(lt),
-                                   bytes(lf), bytes(ltf))
-        return {
-            "ci": r.ci,
-            "steps": r.steps,
-            "clock": r.clock,
-            "max_iter": r.max_iter,
-            "outputs": r.outputs,
-            "partials": r.partials,
-            "finals": [(_UNSET_TOKEN if v is unset else v)
-                       for v in r.finals],
-            "fault": r.fault,
-            "globals": wrt._globals,
-            "prof": prof,
-            "unit_time": wrt._unit_time,
-            "unit_calls": wrt._unit_calls,
-        }
-    finally:
-        # Close only: the attach-side auto-registration collapses into
-        # the parent's entry in the shared resource tracker, and the
-        # parent unlinks (and thereby unregisters) after the join.
-        for shm in held.values():
-            try:
-                shm.close()
-            except Exception:
-                pass

@@ -17,8 +17,8 @@ Three execution engines sit behind :func:`run_program`:
 Select per call with ``engine=``, or process-wide with the
 ``REPRO_EXEC_ENGINE`` environment variable.  Verification re-runs the
 same source text repeatedly (original vs. transformed, before vs.
-after), so parsed/analyzed programs are memoized in a small LRU keyed
-by source text (disable with ``REPRO_EXEC_CACHE=0``).
+after), so parsed/analyzed programs are memoized in the store's
+``program`` namespace, keyed by source text.
 
 The compiled engine can additionally execute ``PARALLEL DO`` loops for
 real on a worker pool (:mod:`repro.interp.runtime`): pass
@@ -89,8 +89,6 @@ def analyzed_program(source_or_program) -> AnalyzedProgram:
     """Analyzed program for a source text (memoized) or pass-through."""
     if not isinstance(source_or_program, str):
         return source_or_program
-    if os.environ.get("REPRO_EXEC_CACHE", "1") == "0":
-        return AnalyzedProgram(parse_program(source_or_program))
     store = get_store()
     prog = store.get(_PROGRAM_NS, source_or_program)
     if prog is not MISS:

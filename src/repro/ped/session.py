@@ -582,25 +582,9 @@ class PedSession:
         self._log("program navigation", "navigation report")
         return navigation_report(self.program, top)
 
-    def measured_navigation_report(self, inputs=None, workers: int = 4,
-                                   schedule: str = "static",
-                                   top: int = 10) -> str:
-        """Navigation ranking with measured parallel speedups: runs the
-        program's PARALLEL DO loops on the DOALL worker pool (1 worker
-        vs. ``workers``) and reports wall-clock speedup next to the
-        static cost-model prediction."""
-        from ..perf.estimate import measure_parallel_payoff
-        measured = measure_parallel_payoff(
-            self.program, inputs=inputs, workers=workers,
-            schedule=schedule)
-        self._log("program navigation",
-                  f"measured parallel payoff ({len(measured)} loops, "
-                  f"{workers} workers)")
-        return navigation_report(self.program, top, measured=measured)
-
     def set_parallel_overhead(self, value: float | None) -> None:
         """Calibrate the fork-join overhead the virtual clock charges a
-        PARALLEL DO (``None`` restores the environment/default value).
+        PARALLEL DO (``None`` restores the default).
         Affects speedup simulation and guidance for this process."""
         from ..interp import set_parallel_overhead
         set_parallel_overhead(value)

@@ -8,13 +8,6 @@ constants as the interpreter's virtual clock, multiplying by trip counts
 (statically known bounds where possible, a documented default otherwise)
 and folding in callee estimates bottom-up over the call graph, so the
 static ranking and the dynamic profile are directly comparable.
-
-With the fork-join DOALL runtime attached (:mod:`repro.interp.runtime`)
-the estimate can also be *checked*: :func:`measure_parallel_payoff` runs
-the program once with one worker and once with N, reads the per-loop
-runtime statistics, and reports measured wall-clock speedup next to the
-cost-model prediction.  :func:`navigation_report` folds these into the
-ranking view so navigation is driven by evidence, not only by the model.
 """
 
 from __future__ import annotations
@@ -201,79 +194,8 @@ def estimate_program(program: AnalyzedProgram,
     return Estimator(program, default_trip).estimate()
 
 
-@dataclass
-class LoopSpeedup:
-    """Measured behaviour of one PARALLEL DO under the DOALL runtime."""
-
-    unit: str
-    loop_id: str
-    line: int
-    uid: int
-    #: cost-model prediction: virtual serial time / virtual parallel time
-    predicted: float
-    #: wall-clock speedup: 1-worker elapsed / N-worker elapsed
-    measured: float
-    wall_serial: float
-    wall_parallel: float
-    iters: int
-    workers: int
-
-    @property
-    def id(self) -> str:
-        return f"{self.unit}:{self.loop_id}"
-
-
-def measure_parallel_payoff(program, inputs=None, workers: int = 4,
-                            schedule: str = "static",
-                            engine: str = "compiled"
-                            ) -> list[LoopSpeedup]:
-    """Execute a program's PARALLEL DO loops on the worker pool and
-    report measured vs. predicted speedup per loop.
-
-    Runs the program twice through the DOALL runtime -- once with one
-    worker (the same chunk/merge machinery, inline) and once with
-    ``workers`` -- so the wall-clock ratio isolates pool parallelism
-    from dispatch overhead.  Loops that fell back to the serial
-    simulation in either run are absent from the result.  ``engine``
-    selects the execution tier both runs use (the worlds explorer
-    measures payoffs on the vector tier too).
-    """
-    from ..interp.verify import analyzed_program, run_program
-    prog = analyzed_program(program)
-    base = run_program(prog, inputs=list(inputs or []), engine=engine,
-                       workers=1, schedule=schedule)
-    par = run_program(prog, inputs=list(inputs or []), engine=engine,
-                      workers=workers, schedule=schedule)
-    by_uid: dict[int, tuple[str, LoopInfo]] = {}
-    for uname, uir in prog.units.items():
-        for uid, li in uir.loops.by_uid.items():
-            by_uid[uid] = (uname, li)
-    out: list[LoopSpeedup] = []
-    for uid, sp in sorted(par._par_stats.items()):
-        sb = base._par_stats.get(uid)
-        if sb is None or uid not in by_uid:
-            continue
-        uname, li = by_uid[uid]
-        predicted = (sp["virtual_serial"] / sp["virtual_parallel"]
-                     if sp["virtual_parallel"] > 0 else float("inf"))
-        measured = (sb["wall"] / sp["wall"]
-                    if sp["wall"] > 0 else float("inf"))
-        out.append(LoopSpeedup(
-            unit=uname, loop_id=li.id, line=li.line, uid=uid,
-            predicted=predicted, measured=measured,
-            wall_serial=sb["wall"], wall_parallel=sp["wall"],
-            iters=sp["iters"], workers=sp["workers"]))
-    out.sort(key=lambda ls: -ls.wall_serial)
-    return out
-
-
-def navigation_report(program: AnalyzedProgram, top: int = 10,
-                      measured: list[LoopSpeedup] | None = None) -> str:
+def navigation_report(program: AnalyzedProgram, top: int = 10) -> str:
     """The textual loop-ranking view PED's navigation uses.
-
-    With ``measured`` (from :func:`measure_parallel_payoff`) the static
-    ranking is followed by a measured-vs-predicted section so the user
-    can see where the cost model and the worker pool disagree.
 
     Each ranked loop also shows its vector-tier lowering decision
     (``vec(d2)`` = executes as a depth-2 bulk numpy nest under
@@ -300,13 +222,4 @@ def navigation_report(program: AnalyzedProgram, top: int = 10,
             vec = dec.reason or "no"
         lines.append(f"{i:>4}  {le.id:<14} {le.loop.line:>5} "
                      f"{le.time:>12.0f} {share:>5.1f}%  {trip:<8} {vec}")
-    if measured:
-        lines.append("")
-        lines.append(f"measured on {measured[0].workers} workers "
-                     f"(wall-clock vs. cost-model prediction)")
-        lines.append(f"{'loop':<14} {'line':>5} {'iters':>8} "
-                     f"{'predicted':>10} {'measured':>9}")
-        for ls in measured[:top]:
-            lines.append(f"{ls.id:<14} {ls.line:>5} {ls.iters:>8} "
-                         f"{ls.predicted:>9.2f}x {ls.measured:>8.2f}x")
     return "\n".join(lines)

@@ -13,8 +13,8 @@ that invariant from three directions --
   float-sum case that must *fall back* rather than reassociate).
 
 Plus fault parity (a crash inside a chunk surfaces the same message as
-the serial run), environment resolution, chunk partitioning, counters,
-health reporting, and a process-pool smoke test.
+the serial run), environment resolution, overhead calibration, chunk
+partitioning, counters and health reporting.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ import pytest
 from repro.corpus import ORDER, PROGRAMS
 from repro.interp import (
     CompiledInterpreter, Interpreter, chunk_ranges, compare_runs,
-    resolve_pool_kind, resolve_schedule, resolve_workers, run_program,
+    resolve_schedule, resolve_workers, run_program,
 )
 from repro.interp.machine import RuntimeFault, StepLimitExceeded
 from repro.ir import AnalyzedProgram
@@ -257,7 +257,7 @@ class TestFaultParity:
 
 
 # ---------------------------------------------------------------------------
-# resolution: workers, schedule, pool kind, overhead
+# resolution: workers, schedule, overhead
 # ---------------------------------------------------------------------------
 
 class TestResolution:
@@ -277,6 +277,16 @@ class TestResolution:
         with pytest.raises(ValueError):
             resolve_workers(0)
 
+    @pytest.mark.parametrize("env", ["four", "0", "-2"])
+    def test_workers_env_invalid(self, monkeypatch, env):
+        monkeypatch.setenv("REPRO_EXEC_WORKERS", env)
+        with pytest.raises(ValueError, match="REPRO_EXEC_WORKERS"):
+            resolve_workers()
+
+    def test_workers_env_empty_is_unset(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXEC_WORKERS", "")
+        assert resolve_workers() is None
+
     def test_schedule_default_and_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXEC_SCHEDULE", raising=False)
         assert resolve_schedule() == "static"
@@ -285,14 +295,6 @@ class TestResolution:
         assert resolve_schedule("static") == "static"
         with pytest.raises(ValueError):
             resolve_schedule("guided")
-
-    def test_pool_kind(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXEC_POOL", raising=False)
-        assert resolve_pool_kind() == "thread"
-        monkeypatch.setenv("REPRO_EXEC_POOL", "process")
-        assert resolve_pool_kind() == "process"
-        with pytest.raises(ValueError):
-            resolve_pool_kind("fiber")
 
     def test_run_program_env_workers(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_WORKERS", "2")
@@ -307,21 +309,18 @@ class TestOverheadCalibration:
            "      A(I) = I\n"
            "   10 CONTINUE\n      END\n")
 
-    def test_env_and_session_calibration(self, monkeypatch):
+    def test_session_calibration(self):
         from repro.interp import parallel_overhead
-        monkeypatch.delenv("REPRO_PARALLEL_OVERHEAD", raising=False)
         base = parallel_overhead()
         t0 = run_program(self.SRC).clock
-        monkeypatch.setenv("REPRO_PARALLEL_OVERHEAD", "500")
-        assert parallel_overhead() == 500.0
-        assert run_program(self.SRC).clock == t0 + (500.0 - base)
         session = PedSession(self.SRC)
-        session.set_parallel_overhead(250.0)
+        session.set_parallel_overhead(500.0)
         try:
-            assert parallel_overhead() == 250.0  # override beats env
+            assert parallel_overhead() == 500.0
+            assert run_program(self.SRC).clock == t0 + (500.0 - base)
         finally:
             session.set_parallel_overhead(None)
-        assert parallel_overhead() == 500.0      # env visible again
+        assert parallel_overhead() == base
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +381,3 @@ class TestObservability:
         snap = perf_counters.snapshot()
         assert snap["par_loops"] == 2
         assert snap["pool_reuses"] >= 1  # second loop reused the pool
-
-
-# ---------------------------------------------------------------------------
-# process pool (opt-in) smoke test
-# ---------------------------------------------------------------------------
-
-class TestProcessPool:
-    def test_process_mode_byte_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_POOL", "process")
-        program = AnalyzedProgram.from_source(REDUCTIONS["int-sum"])
-        tree = _oracle(program)
-        comp = _parallel_run(program, 2, "static")
-        _assert_matches_oracle(tree, comp)
