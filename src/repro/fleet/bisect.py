@@ -3,16 +3,25 @@
 When a fleet run observes that a program's parallel execution differs
 from its serial execution, :func:`compare_runs` alone can only say
 *that* final state differs ("common:V mismatch at (1,1)").  This module
-answers *where it first went wrong*: a binary search over the aligned
-sync points of :mod:`repro.interp.relative` finds the smallest sync
-index at which the two executions' observable states already differ,
-i.e. the first divergent statement.  When that statement is itself a
-PARALLEL DO join, the shadow access log refines the report down to the
-racy statement and variable inside the loop body.
+answers *where it first went wrong*: a K-ary search over the aligned
+sync points of :mod:`repro.interp.relative` finds a sync index at which
+the two executions' observable states differ while they still agreed
+one sync point earlier, i.e. the first divergent statement.  When that
+statement is itself a PARALLEL DO join, the shadow access log refines
+the report down to the racy statement and variable inside the loop
+body.
 
-Cost: two full runs plus ``2 * ceil(log2(syncs))`` partial runs, each
-halted at its probe point -- tens of runs even for the ~50k-sync corpus
-programs, every one deterministic.
+Cost: every tree execution samples the observable state at up to ~K
+sync points instead of halting at one.  The two full runs the final
+comparison needs already sample the whole run (the serial one keeps a
+snapshot every ``stride``-th sync, doubling the stride past ``2 * K``
+samples; the adversarial one compares at those points as it goes), so
+they narrow the search to a window of ~n/K sync points.  Each halted
+(serial, adversarial) probe pair then samples K evenly spaced points
+inside the window and shrinks it by another factor of K.  Seeded slab2d
+(~20k sync points) takes 2 probe pairs, 6 tree runs in all; with the
+shadow run that is ~2.2 s of a traced fleet benchmark pass (2-CPU
+host).  Every run is deterministic.
 """
 
 from __future__ import annotations
@@ -20,11 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..fortran import ast
-from ..interp.relative import run_to_sync
+from ..interp.relative import SyncRecord, run_to_sync
 from ..interp.shadow import dynamic_races, log_for, races_under, run_shadow
-from ..interp.verify import compare_runs
+from ..interp.verify import RunDiff, compare_runs, compare_snapshots
 
 __all__ = ["Divergence", "find_divergence"]
+
+#: sync points one tree execution samples: each halted probe pair
+#: narrows the search window by about this factor
+K = 32
 
 
 @dataclass
@@ -53,7 +66,8 @@ class Divergence:
     race_kind: str = ""
     #: final-state differences of the two full runs
     diffs: list[str] = field(default_factory=list)
-    #: partial executions spent locating the point
+    #: halted (serial, adversarial) probe pairs run after the two full
+    #: runs to narrow the sampled window down to one sync point
     probes: int = 0
 
     def describe(self) -> str:
@@ -102,71 +116,134 @@ def _writer_line(program, unit: str, loop_line: int,
     return None
 
 
+class _Reference:
+    """Serial sampler: keeps ``sync index -> (record, snapshot)``.
+
+    Given ``points`` it samples exactly those; otherwise every
+    ``stride``-th sync point, doubling the stride (and dropping the
+    samples off the coarser grid) whenever it holds more than ``2 * K``.
+    """
+
+    def __init__(self, points=None):
+        self.samples: dict[int, tuple[SyncRecord, dict]] = {}
+        self._points = None if points is None else iter(points)
+        self.stride = 1
+        self.next = 1 if points is None else next(self._points, None)
+
+    def __call__(self, rec: SyncRecord, snap: dict) -> bool:
+        self.samples[rec.index] = (rec, snap)
+        if self._points is not None:
+            self.next = next(self._points, None)
+            return False
+        if len(self.samples) > 2 * K:
+            self.stride *= 2
+            self.samples = {k: v for k, v in self.samples.items()
+                            if k % self.stride == 0}
+        self.next = (rec.index // self.stride + 1) * self.stride
+        return False
+
+
+class _Check:
+    """Adversarial sampler: compares its state with the reference's at
+    each of the reference's sync points, keeps the first mismatch and
+    samples no further (halting there when ``halt``)."""
+
+    def __init__(self, reference: dict, program, rtol: float,
+                 atol: float, halt: bool):
+        self.reference = reference
+        self.program, self.rtol, self.atol = program, rtol, atol
+        self.halt = halt
+        self._points = iter(sorted(reference))
+        self.next = next(self._points, None)
+        #: (adversarial record, RunDiff) at the first mismatch
+        self.mismatch: tuple[SyncRecord, RunDiff] | None = None
+        #: adversarial record of the last sample that agreed
+        self.agreed: SyncRecord | None = None
+
+    def __call__(self, rec: SyncRecord, snap: dict) -> bool:
+        d = compare_snapshots(self.reference[rec.index][1], snap,
+                              self.program, rtol=self.rtol, atol=self.atol)
+        if d:
+            self.mismatch = (rec, d)
+            self.next = None
+            return self.halt
+        self.agreed = rec
+        self.next = next(self._points, None)
+        return False
+
+
+def _spread(lo: int, hi: int) -> list[int]:
+    """At most K evenly spaced sync points strictly between lo and hi."""
+    gap = hi - lo
+    if gap - 1 <= K:
+        return list(range(lo + 1, hi))
+    return [lo + gap * j // (K + 1) for j in range(1, K + 1)]
+
+
 def find_divergence(program, inputs=(), workers: int = 4,
                     schedule: str = "static", rtol: float = 1e-9,
                     atol: float = 1e-8,
                     force_reassociation: bool = False,
                     max_steps: int = 5_000_000) -> Divergence | None:
-    """Bisect to the first statement where the adversarial parallel
+    """Search for the first statement where the adversarial parallel
     execution of ``program`` observably differs from serial execution.
 
     Returns None when the two executions agree (to ``rtol``) -- either
     the parallelization is sound or, as with spec77's fixed-point
     recurrence, the seeded values mask the race dynamically.
     """
-    def runs(halt_at=None):
+    def runs(halt_at=None, points=None):
+        ref = _Reference(points)
         s = run_to_sync(program, inputs, adversarial=False,
-                        halt_at=halt_at, max_steps=max_steps)
+                        halt_at=halt_at, sampler=ref, max_steps=max_steps)
+        check = _Check(ref.samples, program, rtol, atol,
+                       halt=halt_at is not None)
         a = run_to_sync(program, inputs, adversarial=True,
-                        halt_at=halt_at, workers=workers,
+                        halt_at=halt_at, sampler=check, workers=workers,
                         schedule=schedule,
                         force_reassociation=force_reassociation,
                         max_steps=max_steps)
-        return s, a
+        return s, a, ref, check
 
-    serial, adv = runs()
+    serial, adv, ref, check = runs()
     final = compare_runs(serial, adv, rtol=rtol, atol=atol)
     if not final:
         return None
-
     n = min(serial.sync_count, adv.sync_count)
+    del serial, adv
+
+    # window (lo, hi]: the states agree at lo (lo = 0: before any sync)
+    # and, once ``hit`` holds the mismatch found there, differ at hi.
+    # Until then hi = n is unknown: if even n agrees, the divergence
+    # only materializes in the final COMMON flush at RETURN/STOP.
+    lo, lo_rec, hi, hit = 0, None, n, None
     probes = 0
-
-    def diverged(k: int):
-        nonlocal probes
+    while True:
+        if check.mismatch is not None:
+            hit = check.mismatch
+            hi = hit[0].index
+        elif hit is None and n in ref.samples:
+            rec = check.agreed
+            return Divergence(
+                unit=rec.unit if rec else "?",
+                line=rec.line if rec else 0,
+                first_diff_key=final.first_key or "",
+                variable=_var_of_key(final.first_key), sync_index=n,
+                kind="final-flush",
+                statement=rec.describe() if rec else "",
+                diffs=list(final), probes=probes)
+        agreed = [k for k in ref.samples if k < hi]
+        if agreed:
+            lo = max(agreed)
+            lo_rec = ref.samples[lo][0]
+        if hit is not None and hi - lo <= 1:
+            break
+        points = _spread(lo, hi) + ([] if hit is not None else [hi])
         probes += 1
-        s, a = runs(halt_at=k)
-        d = compare_runs(s, a, rtol=rtol, atol=atol)
-        return (d if d else None), (a.halted or s.halted)
+        _, _, ref, check = runs(halt_at=hi, points=points)
 
-    # establish the upper bound: state at the last aligned sync point.
-    # (If even that agrees, the divergence only materializes in the
-    # final COMMON flush at RETURN/STOP -- report it at sync n.)
-    top_diff, top_rec = diverged(n)
-    if top_diff is None:
-        rec = top_rec
-        return Divergence(
-            unit=rec.unit if rec else "?", line=rec.line if rec else 0,
-            first_diff_key=final.first_key or "",
-            variable=_var_of_key(final.first_key), sync_index=n,
-            kind="final-flush", statement=rec.describe() if rec else "",
-            diffs=list(final), probes=probes)
-
-    # binary search: smallest k with diverged(k); invariant
-    # diverged(lo-1) false, diverged(hi) true
-    lo, hi = 1, n
-    best_diff, best_rec = top_diff, top_rec
-    while lo < hi:
-        mid = (lo + hi) // 2
-        d, rec = diverged(mid)
-        if d is not None:
-            hi = mid
-            best_diff, best_rec = d, rec
-        else:
-            lo = mid + 1
-
-    rec = best_rec
-    key = best_diff.first_key or final.first_key or ""
+    rec, diff = hit
+    key = diff.first_key or final.first_key or ""
     variable = _var_of_key(key)
     div = Divergence(
         unit=rec.unit, line=rec.line, first_diff_key=key,
@@ -178,22 +255,16 @@ def find_divergence(program, inputs=(), workers: int = 4,
         div.loop_line, div.loop_var = rec.line, rec.var
         _refine_with_shadow(div, program, inputs, workers, schedule,
                             max_steps, rename_line=True)
-    elif hi > 1:
+    elif lo_rec is not None:
         # a clean plain statement often diverges because the join right
-        # before it lost a race; peek one sync point back and, if that
-        # was a PARALLEL DO, name it (slab2d: the post-loop read of a
-        # privatized scalar; pueblo3d: the PRINT after the reassociated
-        # reduction)
-        probes += 1
-        peek = run_to_sync(program, inputs, adversarial=False,
-                           halt_at=hi - 1, max_steps=max_steps)
-        prev = peek.halted
-        if prev is not None and prev.kind == "parallel_do" \
-                and prev.unit == rec.unit:
-            div.loop_line, div.loop_var = prev.line, prev.var
+        # before it (sync hi - 1 = lo, a serial sample) lost a race; if
+        # that was a PARALLEL DO, name it (slab2d: the post-loop read
+        # of a privatized scalar; pueblo3d: the PRINT after the
+        # reassociated reduction)
+        if lo_rec.kind == "parallel_do" and lo_rec.unit == rec.unit:
+            div.loop_line, div.loop_var = lo_rec.line, lo_rec.var
             _refine_with_shadow(div, program, inputs, workers, schedule,
                                 max_steps, rename_line=False)
-    div.probes = probes
     return div
 
 

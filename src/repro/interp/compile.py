@@ -405,7 +405,7 @@ def _comp_expr(cx: _Cx, e: ast.Expr):
     if t is ast.FuncRef:
         if e.intrinsic:
             return _comp_intrinsic(cx, e.name, e.args)
-        return _comp_user_call(cx, e.name, e.args, as_function=True)
+        return _comp_user_call(cx, e.name, e.args)
     if t is ast.UnOp:
         vf = _comp_expr(cx, e.operand)
         if e.op == "-":
@@ -529,7 +529,7 @@ def _comp_arrayref(cx: _Cx, name: str, subs: tuple[ast.Expr, ...]):
     name is not bound as an array at run time (tree-engine parity)."""
     key = name.upper()
     j = cx.arr_slot(key)
-    callfb = _comp_user_call(cx, key, subs, as_function=True)
+    callfb = _comp_user_call(cx, key, subs)
     if j < 0:
         return callfb
     mk = _FAST.get(len(subs))
@@ -700,14 +700,14 @@ def _comp_actual(cx: _Cx, a: ast.Expr):
     return _comp_expr(cx, a)
 
 
-def _comp_user_call(cx: _Cx, name: str, args: tuple[ast.Expr, ...],
-                    as_function: bool):
-    """User function/subroutine invocation (tick, actuals, COMMON
-    flush; function calls do *not* re-read COMMON afterwards)."""
+def _comp_user_call(cx: _Cx, name: str, args: tuple[ast.Expr, ...]):
+    """User FUNCTION reference (machine._call_function: tick, actuals,
+    COMMON flush before the call and re-read after it)."""
     callee = name.upper()
     uname = cx.uname
     makers = [_comp_actual(cx, a) for a in args]
     flush = _comp_flush(cx)
+    reread = _comp_reread(cx)
 
     def f(fr):
         rt = fr.rt
@@ -723,7 +723,9 @@ def _comp_user_call(cx: _Cx, name: str, args: tuple[ast.Expr, ...],
                 f"exceeded {rt.max_steps} interpreter steps")
         actuals = [m(fr) for m in makers]
         flush(fr)
-        return lk.code.invoke(rt, lk, actuals)
+        result = lk.code.invoke(rt, lk, actuals)
+        reread(fr)
+        return result
     return f
 
 
@@ -746,7 +748,7 @@ def _comp_flush(cx: _Cx):
 
 
 def _comp_reread(cx: _Cx):
-    """COMMON scalar re-read after a CALL (machine._call tail)."""
+    """COMMON scalar re-read after a call (machine._reread_common)."""
     pairs = tuple((cx.slot(sym.name), sym.name)
                   for sym in cx.st.symbols.values()
                   if sym.storage == "common" and not sym.is_array)

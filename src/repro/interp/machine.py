@@ -304,10 +304,18 @@ class Interpreter:
         except _StopSignal:
             return None
 
-    def snapshot(self) -> dict[str, object]:
-        """Observable state after a run: outputs + COMMON storage."""
+    def snapshot(self, frame: Frame | None = None) -> dict[str, object]:
+        """Observable state after a run: outputs + COMMON storage.
+
+        With ``frame``, the state as if that frame's COMMON scalars were
+        flushed first (what a mid-run halt observes), without writing
+        them back."""
         out: dict[str, object] = {"outputs": list(self.outputs)}
-        for k, v in sorted(self._globals.items()):
+        globals_ = self._globals
+        if frame is not None:
+            globals_ = dict(globals_)
+            self._flush_common(frame, globals_)
+        for k, v in sorted(globals_.items()):
             out[f"common:{k}"] = v
         for k, st in sorted(self._global_arrays.items()):
             out[f"common:{k}"] = st.data.copy()
@@ -453,11 +461,21 @@ class Interpreter:
                 self._globals[sym.name] = self._zero_of(sym.type_name)
             frame.scalars[sym.name] = self._globals[sym.name]
 
-    def _flush_common(self, frame: Frame) -> None:
+    def _flush_common(self, frame: Frame, into: dict | None = None) -> None:
+        """Write ``frame``'s COMMON scalars back to ``_globals`` (or to
+        ``into``)."""
+        g = self._globals if into is None else into
         for sym in frame.symtab.symbols.values():
             if sym.storage == "common" and not sym.is_array:
                 if sym.name in frame.scalars:
-                    self._globals[sym.name] = frame.scalars[sym.name]
+                    g[sym.name] = frame.scalars[sym.name]
+
+    def _reread_common(self, frame: Frame) -> None:
+        """Re-read COMMON scalars a callee may have updated."""
+        for sym in frame.symtab.symbols.values():
+            if sym.storage == "common" and not sym.is_array \
+                    and sym.name in self._globals:
+                frame.scalars[sym.name] = self._globals[sym.name]
 
     @staticmethod
     def _zero_of(type_name: str):
@@ -703,11 +721,7 @@ class Interpreter:
             actuals.append(self._make_actual(a, frame))
         self._flush_common(frame)
         result = self._invoke(name, actuals)
-        # re-read COMMON scalars possibly updated by the callee
-        for sym in frame.symtab.symbols.values():
-            if sym.storage == "common" and not sym.is_array \
-                    and sym.name in self._globals:
-                frame.scalars[sym.name] = self._globals[sym.name]
+        self._reread_common(frame)
         return result
 
     def _make_actual(self, a: ast.Expr, frame: Frame) -> object:
@@ -774,7 +788,9 @@ class Interpreter:
             self._tick(COST_CALL)
             actuals = [self._make_actual(a, frame) for a in args]
             self._flush_common(frame)
-            return self._invoke(name, actuals)
+            result = self._invoke(name, actuals)
+            self._reread_common(frame)
+            return result
         # Unknown name without subscripted array: maybe intrinsic spelled
         # differently; fail loudly.
         raise RuntimeFault(f"{frame.unit_name}: no such function or array "

@@ -15,7 +15,10 @@ the fleet's divergence bisector (:mod:`repro.fleet.bisect`):
   their first divergence, so "state at sync point k" is comparable
   across runs.  ``halt_at=k`` stops a run right after sync point ``k``
   (flushing the current frame's COMMON scalars so ``snapshot()`` is
-  meaningful mid-run) and records which statement that was.
+  meaningful mid-run) and records which statement that was.  A
+  ``sampler`` observes chosen sync points without stopping there: it
+  receives the record and the very snapshot a halt at that point would
+  leave, and may still ask to halt.
 
 * :class:`AdversarialInterpreter` -- executes every PARALLEL DO under a
   deterministic adversarial schedule: iterations run in the
@@ -93,17 +96,24 @@ def _record_of(index: int, s: ast.Stmt, unit: str) -> SyncRecord:
 
 
 class SyncPointInterpreter(Interpreter):
-    """Reference interpreter + aligned sync-point counting/halting."""
+    """Reference interpreter + aligned sync-point counting/halting.
+
+    ``sampler`` (optional) is any object with a ``next`` attribute, the
+    next sync index to sample (None: no more), and a call
+    ``sampler(record, snapshot) -> bool``; True halts the run there.
+    """
 
     def __init__(self, program, inputs=None, halt_at: int | None = None,
-                 **kw):
+                 sampler=None, **kw):
         super().__init__(program, inputs, **kw)
         #: 1-based count of completed depth-0 statements
         self.sync_count = 0
         #: halt right after this sync point (None = run to completion)
         self.halt_at = halt_at
-        #: the statement at the halt (or the last sync point seen)
+        #: the statement at the halt
         self.halted: SyncRecord | None = None
+        self.sampler = sampler
+        self._sample_at = sampler.next if sampler is not None else None
         self._par_depth = 0
 
     def run(self, unit_name=None, args=None):
@@ -115,12 +125,20 @@ class SyncPointInterpreter(Interpreter):
     def _exec_stmt(self, s: ast.Stmt, frame) -> None:
         super()._exec_stmt(s, frame)
         if self._par_depth == 0:
-            self.sync_count += 1
-            if self.halt_at is not None and self.sync_count >= self.halt_at:
-                self.halted = _record_of(self.sync_count, s,
-                                         frame.unit_name)
-                self._flush_common(frame)
-                raise SyncHalt()
+            k = self.sync_count = self.sync_count + 1
+            if k == self._sample_at:
+                rec = _record_of(k, s, frame.unit_name)
+                stop = self.sampler(rec, self.snapshot(frame))
+                self._sample_at = self.sampler.next
+                if stop:
+                    self._halt(rec, frame)
+            if self.halt_at is not None and k >= self.halt_at:
+                self._halt(_record_of(k, s, frame.unit_name), frame)
+
+    def _halt(self, rec: SyncRecord, frame) -> None:
+        self.halted = rec
+        self._flush_common(frame)
+        raise SyncHalt()
 
     def _exec_parallel_do(self, s, frame, start, step, trips):
         self._par_depth += 1
@@ -316,19 +334,21 @@ def run_to_sync(program, inputs, adversarial: bool,
                 halt_at: int | None = None, workers: int = 4,
                 schedule: str = "static",
                 force_reassociation: bool = False,
-                max_steps: int = 5_000_000, engine: str = "tree"):
-    """One (possibly halted) execution for the bisector: serial
-    reference or adversarial parallel, same sync numbering.
+                max_steps: int = 5_000_000, engine: str = "tree",
+                sampler=None):
+    """One (possibly halted, possibly sampled) execution for the
+    bisector: serial reference or adversarial parallel, same sync
+    numbering.
 
     ``engine="compiled"`` runs the closure compiler instead (with an
     :class:`AdversarialRuntime` for the adversarial run): the same
     observables and ``serial_fallbacks``, several times faster, but no
-    sync numbering, so ``halt_at`` needs the tree walker.
+    sync numbering, so ``halt_at`` and ``sampler`` need the tree walker.
     """
     if engine == "compiled":
-        if halt_at is not None:
-            raise ValueError("halt_at needs engine='tree': only the "
-                             "tree walker numbers sync points")
+        if halt_at is not None or sampler is not None:
+            raise ValueError("halt_at and sampler need engine='tree': "
+                             "only the tree walker numbers sync points")
         interp = CompiledInterpreter(program, list(inputs or []),
                                      max_steps=max_steps)
         if adversarial:
@@ -344,10 +364,10 @@ def run_to_sync(program, inputs, adversarial: bool,
         interp = AdversarialInterpreter(
             program, list(inputs or []), workers=workers,
             schedule=schedule, force_reassociation=force_reassociation,
-            halt_at=halt_at, max_steps=max_steps)
+            halt_at=halt_at, sampler=sampler, max_steps=max_steps)
     else:
         interp = SyncPointInterpreter(
             program, list(inputs or []), halt_at=halt_at,
-            max_steps=max_steps)
+            sampler=sampler, max_steps=max_steps)
     interp.run()
     return interp

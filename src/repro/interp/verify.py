@@ -115,15 +115,12 @@ def run_program(source_or_program, inputs=None, max_steps: int = 5_000_000,
     return interp
 
 
-def _common_context(interp, key: str) -> str:
+def _common_context(program, key: str) -> str:
     """``common:X`` diff keys gain the units that declare X (the loop-
     level context lives in the program, not the snapshot)."""
-    if not key.startswith("common:"):
+    if program is None or not key.startswith("common:"):
         return ""
     name = key[len("common:"):]
-    program = getattr(interp, "program", None)
-    if program is None:
-        return ""
     units = [uname for uname, uir in program.units.items()
              if uir.symtab.get(name) is not None
              and uir.symtab.get(name).storage == "common"]
@@ -196,6 +193,15 @@ def compare_runs(a: Interpreter, b: Interpreter,
     numpy's; the relative debugger passes ``rtol=0, atol=0`` to count
     ulp-level reassociation drift as a divergence.
     """
+    return compare_snapshots(a.snapshot(), b.snapshot(),
+                             getattr(a, "program", None),
+                             rtol=rtol, atol=atol)
+
+
+def compare_snapshots(sa: dict, sb: dict, program=None,
+                      rtol: float = 1e-9, atol: float = 1e-8) -> RunDiff:
+    """:func:`compare_runs` over two ``snapshot()`` dicts; ``program``
+    (optional) names the units declaring each ``common:`` key."""
     diffs: list[str] = []
     diff_keys: list[str] = []
 
@@ -203,11 +209,10 @@ def compare_runs(a: Interpreter, b: Interpreter,
         diffs.append(text)
         diff_keys.append(key)
 
-    sa, sb = a.snapshot(), b.snapshot()
     keys = sorted(set(sa) | set(sb))
     for k in keys:
         va, vb = sa.get(k), sb.get(k)
-        ctx = _common_context(a, k)
+        ctx = _common_context(program, k)
         if va is None or vb is None:
             add(k, f"{k}{ctx}: present in only one run")
             continue

@@ -206,6 +206,34 @@ class TestFaultParity:
         assert a == b == c
 
 
+# a FUNCTION that updates a COMMON scalar its caller reads afterwards
+COMMON_VIA_FUNCTION = (
+    "      PROGRAM P\n"
+    "      COMMON /C/ X\n"
+    "      REAL X, Y, F\n"
+    "      X = 1.0\n"
+    "      Y = F(2.0)\n"
+    "      PRINT *, X, Y\n"
+    "      END\n"
+    "      REAL FUNCTION F(A)\n"
+    "      COMMON /C/ X\n"
+    "      REAL X, A\n"
+    "      X = X + A\n"
+    "      F = X\n"
+    "      END\n")
+
+
+@pytest.mark.parametrize("engine_cls", TestFaultParity.ENGINES,
+                         ids=lambda c: c.__name__)
+def test_common_scalar_reread_after_function_reference(engine_cls):
+    """The caller sees the COMMON scalar its FUNCTION updated, as after
+    a CALL."""
+    interp = engine_cls(AnalyzedProgram.from_source(COMMON_VIA_FUNCTION))
+    interp.run()
+    assert interp.outputs == [3.0, 3.0]
+    assert interp.snapshot()["common:X"] == 3.0
+
+
 # ---------------------------------------------------------------------------
 # engine selection
 # ---------------------------------------------------------------------------

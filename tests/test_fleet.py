@@ -24,9 +24,10 @@ from repro.fleet import (CheckpointJournal, FleetOptions, FleetRunner,
                          run_fleet, run_program_pipeline)
 from repro.fleet import queue as fleet_queue
 from repro.fleet.__main__ import main as fleet_main
+from repro.fleet.bisect import _Reference
 from repro.fleet.pipeline import STAGES
 from repro.interp.relative import run_to_sync
-from repro.interp.verify import compare_runs
+from repro.interp.verify import compare_runs, compare_snapshots
 from repro.lint.seeds import seeded_program
 from repro.perf import counters, pool
 from repro.testing import faults
@@ -131,12 +132,151 @@ def test_relative_debugger_names_first_divergent_statement():
     json.dumps(div.to_json())
 
 
-def test_relative_debugger_binary_search_is_logarithmic():
+TRANSITION_CASES = {
+    "slab2d": dict(workers=4),
+    "pueblo3d": dict(workers=2, force_reassociation=True, rtol=0.0,
+                     atol=0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSITION_CASES))
+def test_relative_debugger_sampled_search_finds_a_transition(name):
+    """The reported sync point is a transition, checked with independent
+    halted pairs: the states differ there and agree one sync before."""
+    program, _ = seeded_program(name)
+    inputs = list(PROGRAMS[name].inputs)
+    kw = dict(TRANSITION_CASES[name])
+    tol = dict(rtol=kw.pop("rtol", 1e-9), atol=kw.pop("atol", 1e-8))
+    div = find_divergence(program, inputs, **kw, **tol)
+    assert div is not None and div.kind != "final-flush"
+    hi = div.sync_index
+
+    def pair_differs(k):
+        s = run_to_sync(program, inputs, adversarial=False, halt_at=k)
+        a = run_to_sync(program, inputs, adversarial=True, halt_at=k,
+                        **kw)
+        return bool(compare_runs(s, a, **tol))
+
+    assert pair_differs(hi)
+    assert hi == 1 or not pair_differs(hi - 1)
+    if name == "slab2d":
+        # two full runs sample ~n/K sync points; two halted pairs of K
+        # samples each narrow ~20k sync points down to one
+        assert div.probes <= 3
+
+
+# a COMMON DO index lives only in the frame while the loop runs, so
+# mid-loop samples must see the flushed value a halt would
+COMMON_DO_INDEX = """\
+      PROGRAM P
+      COMMON /C/ K, S
+      INTEGER K
+      REAL S
+      S = 0.0
+      DO 10 K = 1, 4
+         S = S + K
+ 10   CONTINUE
+      PRINT *, S
+      END
+"""
+
+
+def _seeded_slab2d():
     program, _ = seeded_program("slab2d")
-    inputs = list(PROGRAMS["slab2d"].inputs)
-    div = find_divergence(program, inputs, workers=4)
-    n = run_to_sync(program, inputs, adversarial=False).sync_count
-    assert div.probes <= 2 * (n.bit_length() + 3)
+    return program, list(PROGRAMS["slab2d"].inputs), \
+        (1, 997, 7560, 7561, 20000)
+
+
+def _common_do_index():
+    from repro.ir import AnalyzedProgram
+    return AnalyzedProgram.from_source(COMMON_DO_INDEX), [], (2, 3, 5)
+
+
+@pytest.mark.parametrize("case", (_seeded_slab2d, _common_do_index),
+                         ids=("slab2d", "common_do_index"))
+@pytest.mark.parametrize("adversarial", (False, True),
+                         ids=("serial", "adversarial"))
+def test_sampled_snapshot_equals_halted_snapshot(case, adversarial):
+    """A sample at sync k is what ``halt_at=k`` leaves -- record and
+    exact state -- and sampling does not change the run itself."""
+    program, inputs, points = case()
+    kw = dict(workers=4) if adversarial else {}
+    keep = _Reference(points)
+    sampled = run_to_sync(program, inputs, adversarial=adversarial,
+                          sampler=keep, **kw)
+    plain = run_to_sync(program, inputs, adversarial=adversarial, **kw)
+    assert compare_runs(sampled, plain, rtol=0, atol=0) == []
+    assert sorted(keep.samples) == list(points)
+    for k, (rec, snap) in keep.samples.items():
+        halted = run_to_sync(program, inputs, adversarial=adversarial,
+                             halt_at=k, **kw)
+        assert rec == halted.halted
+        assert compare_snapshots(halted.snapshot(), snap, program,
+                                 rtol=0, atol=0) == []
+
+
+RACY_JOIN = """\
+      PROGRAM P
+      COMMON /C/ A(40)
+      INTEGER I
+C     fill A, then run its prefix recurrence as a PARALLEL DO: the
+C     join itself is the first divergent sync point
+      DO 5 I = 1, 40
+         A(I) = 0.0
+ 5    CONTINUE
+C     carried flow dependence on A
+      PARALLEL DO 10 I = 2, 40
+         A(I) = A(I-1) + 1.0
+ 10   CONTINUE
+      END
+"""
+
+
+def test_relative_debugger_localizes_a_diverging_join():
+    from repro.ir import AnalyzedProgram
+    program = AnalyzedProgram.from_source(RACY_JOIN)
+    div = find_divergence(program, [], workers=4)
+    assert div is not None
+    assert (div.unit, div.line) == ("P", 11)
+    assert div.kind == "parallel_do"
+    assert div.loop_line == 10
+    assert div.race_kind == "read-write"
+
+
+# the adversarial run loses M at the join and skips the DO 20 iterations
+# whose writes make the serial run differ: every sync point both runs
+# share agrees, only the end states differ
+FINAL_ONLY = """\
+      PROGRAM P
+      COMMON /C/ A(10)
+      INTEGER I, J, K, M
+      REAL B
+      DO 5 K = 1, {pre}
+         B = K
+ 5    CONTINUE
+      M = 0
+      PARALLEL DO 10 I = 1, 8 PRIVATE(M)
+         M = I
+ 10   CONTINUE
+      DO 20 J = 1, M
+         IF (J .GT. 5) A(J) = 1.0
+ 20   CONTINUE
+      END
+"""
+
+
+@pytest.mark.parametrize("pre,probes", ((1, 0), (300, 1)))
+def test_relative_debugger_reports_final_flush(pre, probes):
+    """The last shared sync point is found agreeing either among the full
+    runs' samples (short run) or by one halted pair (longer run)."""
+    from repro.ir import AnalyzedProgram
+    program = AnalyzedProgram.from_source(FINAL_ONLY.format(pre=pre))
+    adv = run_to_sync(program, [], adversarial=True, workers=4)
+    div = find_divergence(program, [], workers=4)
+    assert div.kind == "final-flush"
+    assert div.sync_index == adv.sync_count
+    assert (div.unit, div.line, div.variable) == ("P", 12, "A")
+    assert div.probes == probes
 
 
 def test_sync_interpreter_is_deterministic():
