@@ -18,6 +18,13 @@ from .pipeline import MODES, PipelineOptions
 from .queue import POOL_LADDER, FleetOptions, run_fleet
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro.fleet",
@@ -35,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="auto",
                    help="seeded defects, auto-parallelize, or "
                         "analysis-only (default: auto)")
-    p.add_argument("--workers", type=int, default=4,
+    p.add_argument("--workers", type=_positive_int, default=4,
                    help="emulated PARALLEL DO worker count for "
                         "verification/bisection (default: 4)")
     p.add_argument("--schedule", choices=("static", "dynamic"),

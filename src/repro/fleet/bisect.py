@@ -11,17 +11,18 @@ statement is itself a PARALLEL DO join, the shadow access log refines
 the report down to the racy statement and variable inside the loop
 body.
 
-Cost: every tree execution samples the observable state at up to ~K
-sync points instead of halting at one.  The two full runs the final
-comparison needs already sample the whole run (the serial one keeps a
-snapshot every ``stride``-th sync, doubling the stride past ``2 * K``
-samples; the adversarial one compares at those points as it goes), so
-they narrow the search to a window of ~n/K sync points.  Each halted
-(serial, adversarial) probe pair then samples K evenly spaced points
-inside the window and shrinks it by another factor of K.  Seeded slab2d
-(~20k sync points) takes 2 probe pairs, 6 tree runs in all; with the
-shadow run that is ~2.2 s of a traced fleet benchmark pass (2-CPU
-host).  Every run is deterministic.
+Cost: every execution (the closure compiler's sync-numbering variant)
+samples the observable state at up to ~K sync points instead of halting
+at one.  The two full runs the final comparison needs already sample
+the whole run (the serial one keeps a snapshot every ``stride``-th
+sync, doubling the stride past ``2 * K`` samples; the adversarial one
+compares at those points as it goes), so they narrow the search to a
+window of ~n/K sync points.  Each halted (serial, adversarial) probe
+pair then samples K evenly spaced points inside the window and shrinks
+it by another factor of K.  Seeded slab2d (~20k sync points) takes 2
+probe pairs, 6 sync runs of ~0.2 s in all on a 2-CPU host; the one
+tree-walker shadow run that names the race (~0.7 s) is most of the
+stage.  Every run is deterministic.
 """
 
 from __future__ import annotations
@@ -30,12 +31,13 @@ from dataclasses import dataclass, field
 
 from ..fortran import ast
 from ..interp.relative import SyncRecord, run_to_sync
+from ..interp.runtime import resolve_schedule
 from ..interp.shadow import dynamic_races, log_for, races_under, run_shadow
 from ..interp.verify import RunDiff, compare_runs, compare_snapshots
 
 __all__ = ["Divergence", "find_divergence"]
 
-#: sync points one tree execution samples: each halted probe pair
+#: sync points one execution samples: each halted probe pair
 #: narrows the search window by about this factor
 K = 32
 
@@ -190,8 +192,11 @@ def find_divergence(program, inputs=(), workers: int = 4,
 
     Returns None when the two executions agree (to ``rtol``) -- either
     the parallelization is sound or, as with spec77's fixed-point
-    recurrence, the seeded values mask the race dynamically.
+    recurrence, the seeded values mask the race dynamically.  Raises
+    ``ValueError`` for ``workers < 1`` or an unknown schedule.
     """
+    schedule = resolve_schedule(schedule)
+
     def runs(halt_at=None, points=None):
         ref = _Reference(points)
         s = run_to_sync(program, inputs, adversarial=False,

@@ -51,8 +51,8 @@ class PipelineOptions:
     #: emulated worker count / schedule for verify + bisect
     workers: int = 4
     schedule: str = "static"
-    #: execution tier for the measure stage (degraded by the queue);
-    #: verify runs compiled unless this has degraded to ``tree``
+    #: execution tier for the explore and measure stages (degraded by
+    #: the queue); verify and bisect always run the closure compiler
     engine: str = "compiled"
     rtol: float = 1e-9
     atol: float = 1e-8
@@ -210,18 +210,13 @@ class _Pipeline:
                 or not self.record["parallel_loops"]:
             return
         o = self.opts
-        # the compiled adversarial runtime gives the tree emulator's
-        # observables; the tree walker runs only when the queue's ladder
-        # has degraded this task to it
-        engine = "tree" if o.engine == "tree" else "compiled"
         serial = run_to_sync(self.program, _inputs(self.name),
-                             adversarial=False, max_steps=o.max_steps,
-                             engine=engine)
+                             adversarial=False, max_steps=o.max_steps)
         adv = run_to_sync(self.program, _inputs(self.name),
                           adversarial=True, workers=o.workers,
                           schedule=o.schedule,
                           force_reassociation=o.force_reassociation,
-                          max_steps=o.max_steps, engine=engine)
+                          max_steps=o.max_steps)
         diff = compare_runs(serial, adv, rtol=o.rtol, atol=o.atol)
         self.record["diverged"] = bool(diff)
         if diff:

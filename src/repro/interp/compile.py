@@ -30,6 +30,10 @@ PR 2's rollback/undo carry over:
   re-link the cached :class:`UnitCode` (rebuild the dense-index -> uid
   tables, a linear AST walk) instead of recompiling.
 
+The relative debugger runs a third variant beside the plain and the
+vector one: ``sync=True`` wraps every statement op to number sync
+points (:func:`_sync_op`), so plain and vector code never pay for it.
+
 The tree engine stays the reference oracle: both engines produce
 byte-identical ``snapshot()`` observables and matching profiles (see
 ``tests/test_compiled_engine.py``).
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
@@ -61,7 +65,7 @@ from .runtime import build_plan
 __all__ = [
     "CompiledInterpreter", "UnitCode", "LinkedUnit", "linked_unit",
     "compile_cache_info", "clear_code_cache",
-    "unit_fingerprint", "program_fingerprint",
+    "unit_fingerprint", "program_fingerprint", "SyncRecord",
 ]
 
 
@@ -78,6 +82,27 @@ _UNSET = _Unset()
 _RETURN = _Unset()
 #: distinct missing-marker for dict probes
 _MISSING = _Unset()
+
+
+class _SyncHalt(Exception):
+    """Execution reached the requested sync point (not an error)."""
+
+
+@dataclass(frozen=True)
+class SyncRecord:
+    """What executed at a sync point."""
+
+    index: int          # 1-based sync counter value
+    unit: str
+    line: int
+    uid: int
+    kind: str           # "parallel_do" | "do" | statement class name
+    var: str = ""       # loop variable for (parallel) DO records
+
+    def describe(self) -> str:
+        what = f"PARALLEL DO {self.var}" if self.kind == "parallel_do" \
+            else (f"DO {self.var}" if self.kind == "do" else self.kind)
+        return f"{self.unit} line {self.line}: {what}"
 
 
 class _SlotRef:
@@ -268,7 +293,8 @@ def clear_code_cache() -> None:
     _STATS["hits"] = _STATS["relinks"] = _STATS["misses"] = 0
 
 
-def linked_unit(uir, vector: bool = False) -> LinkedUnit:
+def linked_unit(uir, vector: bool = False,
+                sync: bool = False) -> LinkedUnit:
     """Compiled code for a UnitIR, through the two cache levels.
 
     Fast path: the UnitIR's own ``(generation, LinkedUnit)`` pair.  On a
@@ -279,9 +305,13 @@ def linked_unit(uir, vector: bool = False) -> LinkedUnit:
     ``vector=True`` compiles the vector-lowered variant of the unit; it
     shares the same two cache levels (a separate per-UnitIR slot and a
     tagged LRU key), so transform -> verify re-lowers only mutated units
-    in that tier too.
+    in that tier too.  ``sync=True`` (never vectorized) is the relative
+    debugger's variant, which numbers sync points (:func:`_sync_op`);
+    it is cached the same way under its own slot and key.
     """
-    cached = uir._vcompiled if vector else uir._compiled
+    slot = "_vcompiled" if vector else ("_scompiled" if sync
+                                        else "_compiled")
+    cached = getattr(uir, slot)
     if cached is not None and cached[0] == uir.generation:
         _STATS["hits"] += 1
         perf_counters.bump("compile_hits")
@@ -289,13 +319,16 @@ def linked_unit(uir, vector: bool = False) -> LinkedUnit:
     fp = unit_fingerprint(uir)
     if vector:
         fp = ("vector", fp)
+    elif sync:
+        fp = ("sync", fp)
     store = get_store()
     code = store.get(_COMPILE_NS, fp)
     if code is not MISS:
         _STATS["relinks"] += 1
         perf_counters.bump("compile_relinks")
     else:
-        code = _compile_unit(uir.unit, uir.symtab, vector=vector)
+        code = _compile_unit(uir.unit, uir.symtab, vector=vector,
+                             sync=sync)
         store.put(_COMPILE_NS, fp, code, disk=False)
         _STATS["misses"] += 1
         perf_counters.bump("compile_misses")
@@ -305,10 +338,7 @@ def linked_unit(uir, vector: bool = False) -> LinkedUnit:
                     [s.uid for s, _ in walk],
                     [s.uid for s in loops],
                     [frozenset(s.private_vars) for s in loops])
-    if vector:
-        uir._vcompiled = (uir.generation, lk)
-    else:
-        uir._compiled = (uir.generation, lk)
+    setattr(uir, slot, (uir.generation, lk))
     return lk
 
 
@@ -319,12 +349,15 @@ def linked_unit(uir, vector: bool = False) -> LinkedUnit:
 class _Cx:
     """Per-unit compile state: slot maps and dense index spaces."""
 
-    def __init__(self, unit: ast.ProgramUnit, st, vector: bool = False):
+    def __init__(self, unit: ast.ProgramUnit, st, vector: bool = False,
+                 sync: bool = False):
         self.unit = unit
         self.st = st
         self.uname = unit.name
         #: vector tier: _comp_do attempts numpy lowering per loop
         self.vector = vector
+        #: relative-debugging variant: every op numbers sync points
+        self.sync = sync
         #: dense loop index -> vectorize.LoopDecision, filled by _comp_do
         self.vec_info: dict[int, object] = {}
         self.reg_index: dict[str, int] = {}
@@ -334,6 +367,10 @@ class _Cx:
             self.slot(sym.name)
             if sym.is_array:
                 self.arr_slot(sym.name)
+        #: (slot, name) of every COMMON scalar: the flush/re-read pairs
+        self.common = tuple((self.slot(sym.name), sym.name)
+                            for sym in st.symbols.values()
+                            if sym.storage == "common" and not sym.is_array)
         # dense statement/loop index spaces (compile order == link order
         # == ast.walk_stmts pre-order)
         walk = [s for s, _ in ast.walk_stmts(unit.body)]
@@ -731,9 +768,7 @@ def _comp_user_call(cx: _Cx, name: str, args: tuple[ast.Expr, ...]):
 
 def _comp_flush(cx: _Cx):
     """COMMON scalar write-back (machine._flush_common, slot form)."""
-    pairs = tuple((cx.slot(sym.name), sym.name)
-                  for sym in cx.st.symbols.values()
-                  if sym.storage == "common" and not sym.is_array)
+    pairs = cx.common
     if not pairs:
         return lambda fr: None
 
@@ -749,9 +784,7 @@ def _comp_flush(cx: _Cx):
 
 def _comp_reread(cx: _Cx):
     """COMMON scalar re-read after a call (machine._reread_common)."""
-    pairs = tuple((cx.slot(sym.name), sym.name)
-                  for sym in cx.st.symbols.values()
-                  if sym.storage == "common" and not sym.is_array)
+    pairs = cx.common
     if not pairs:
         return lambda fr: None
 
@@ -888,6 +921,54 @@ def _no_signal(s: ast.Stmt) -> bool:
 
 
 def _comp_stmt(cx: _Cx, s: ast.Stmt):
+    op = _comp_op(cx, s)
+    return _sync_op(cx, s, op) if cx.sync else op
+
+
+def _sync_op(cx: _Cx, s: ast.Stmt, op):
+    """``op`` numbering sync points, for the relative debugger.
+
+    A sync point is a statement that completes -- its op returns None
+    and raises nothing -- while no PARALLEL DO is active.  So a logical
+    IF's inner statement, a declaration and every statement of a called
+    unit count, while GOTO, RETURN, STOP and a cross-unit jump do not.
+    A PARALLEL DO raises the interpreter's parallel depth around its op
+    and counts once, at its join: inside it, statement order is what the
+    serial and the parallel run disagree about.  ``sync_count`` reaching
+    ``_sync_next`` hands over to the interpreter's ``_sync_event``.
+    """
+    idx = cx.idx_of[id(s)]
+    common = cx.common
+    if isinstance(s, ast.DoLoop):
+        at = (cx.uname, s.line, "parallel_do" if s.parallel else "do",
+              s.var.upper())
+    else:
+        at = (cx.uname, s.line, type(s).__name__, "")
+
+    if isinstance(s, ast.DoLoop) and s.parallel:
+        loop = op
+
+        def op(fr):
+            rt = fr.rt
+            rt._par_depth += 1
+            try:
+                return loop(fr)
+            finally:
+                rt._par_depth -= 1
+
+    def sop(fr):
+        sig = op(fr)
+        if sig is None:
+            rt = fr.rt
+            if not rt._par_depth:
+                k = rt.sync_count = rt.sync_count + 1
+                if k >= rt._sync_next:
+                    rt._sync_event(fr, idx, at, common)
+        return sig
+    return sop
+
+
+def _comp_op(cx: _Cx, s: ast.Stmt):
     idx = cx.idx_of[id(s)]
     if isinstance(s, _DECL_TYPES) or (isinstance(s, ast.OpaqueStmt)
                                       and s.decl):
@@ -1457,9 +1538,9 @@ def _comp_data(cx: _Cx, unit: ast.ProgramUnit, st):
     return apply_data
 
 
-def _compile_unit(unit: ast.ProgramUnit, st,
-                  vector: bool = False) -> UnitCode:
-    cx = _Cx(unit, st, vector=vector)
+def _compile_unit(unit: ast.ProgramUnit, st, vector: bool = False,
+                  sync: bool = False) -> UnitCode:
+    cx = _Cx(unit, st, vector=vector, sync=sync)
     uname = unit.name
     kind = unit.kind
 
@@ -1556,6 +1637,14 @@ def _compile_unit(unit: ast.ProgramUnit, st,
     return code
 
 
+def _overlay_common(g: dict, regs: list, common: tuple) -> None:
+    """Write a frame's set COMMON scalars into ``g`` (a flush)."""
+    for slot, name in common:
+        v = regs[slot]
+        if v is not _UNSET:
+            g[name] = v
+
+
 # --------------------------------------------------------------------------
 # The compiled interpreter (drop-in for machine.Interpreter)
 # --------------------------------------------------------------------------
@@ -1564,11 +1653,25 @@ class CompiledInterpreter:
     """Drop-in replacement for :class:`machine.Interpreter` that executes
     closure-compiled units.  Same constructor, ``run``, ``snapshot``,
     ``profile``, ``outputs``, ``clock``, and ``steps`` surface; produces
-    byte-identical observables and profiles (tree engine = oracle)."""
+    byte-identical observables and profiles (tree engine = oracle).
+
+    ``sync=True`` links the sync-numbering variant of every unit (see
+    :func:`_sync_op`) for the relative debugger: ``sync_count`` counts
+    the sync points, ``halt_at=k`` stops the run right after sync point
+    ``k`` (flushing the current frame's COMMON scalars, so ``snapshot()``
+    is meaningful mid-run) and leaves its :class:`SyncRecord` in
+    ``halted``.  A ``sampler`` observes chosen sync points without
+    stopping there: it is any object with a ``next`` attribute, the next
+    sync index to sample (None: no more), and a call ``sampler(record,
+    snapshot) -> bool``.  The snapshot is the one a halt at that point
+    would leave; True halts the run there.
+    """
 
     def __init__(self, program, inputs=None, max_steps: int = 5_000_000,
                  check_assertions: bool = True, assertion_checker=None,
-                 workers: int | None = None, schedule: str | None = None):
+                 workers: int | None = None, schedule: str | None = None,
+                 sync: bool = False, halt_at: int | None = None,
+                 sampler=None):
         self.program = program
         self.inputs = list(inputs or [])
         self._input_pos = 0
@@ -1592,6 +1695,18 @@ class CompiledInterpreter:
         if workers is not None and workers >= 1:
             from .runtime import ParallelRuntime
             self._runtime = ParallelRuntime(workers, schedule)
+        self._sync = sync
+        #: 1-based count of completed sync points (sync runs only)
+        self.sync_count = 0
+        self.halt_at = halt_at
+        self.sampler = sampler
+        #: the statement at the halt
+        self.halted: SyncRecord | None = None
+        self._sample_at = sampler.next if sampler is not None else None
+        #: first sync index with a sample or a halt due
+        self._sync_next = self._next_event()
+        #: > 0 while a PARALLEL DO runs (its statements are no sync points)
+        self._par_depth = 0
 
     # -- public API --------------------------------------------------------
 
@@ -1604,12 +1719,15 @@ class CompiledInterpreter:
             unit_name = main.unit.name
         try:
             return self._invoke(unit_name, args or [])
-        except _StopSignal:
+        except (_StopSignal, _SyncHalt):
             return None
 
     def snapshot(self) -> dict[str, object]:
+        return self._observe(self._globals)
+
+    def _observe(self, globals_: dict) -> dict[str, object]:
         out: dict[str, object] = {"outputs": list(self.outputs)}
-        for k, v in sorted(self._globals.items()):
+        for k, v in sorted(globals_.items()):
             out[f"common:{k}"] = v
         for k, st in sorted(self._global_arrays.items()):
             out[f"common:{k}"] = st.data.copy()
@@ -1655,9 +1773,41 @@ class CompiledInterpreter:
         lk = self._lk.get(name, _MISSING)
         if lk is _MISSING:
             uir = self.program.units.get(name)
-            lk = linked_unit(uir) if uir is not None else None
+            lk = linked_unit(uir, sync=self._sync) if uir is not None \
+                else None
             self._lk[name] = lk
         return lk
+
+    # -- sync points (relative debugging) -----------------------------------
+
+    def _next_event(self):
+        due = [k for k in (self._sample_at, self.halt_at) if k is not None]
+        return min(due) if due else math.inf
+
+    def _sync_event(self, fr: _Frame, idx: int, at: tuple,
+                    common: tuple) -> None:
+        """Sync point ``sync_count`` is due for a sample or a halt.  It
+        completed statement ``idx`` of ``fr``'s unit; ``at`` is that
+        statement's (unit, line, kind, var) and ``common`` the unit's
+        COMMON scalar (slot, name) pairs."""
+        k = self.sync_count
+        rec = SyncRecord(k, at[0], at[1], fr.lk.stmt_uids[idx], at[2],
+                         at[3])
+        if k == self._sample_at:
+            overlay = dict(self._globals)
+            _overlay_common(overlay, fr.regs, common)
+            stop = self.sampler(rec, self._observe(overlay))
+            self._sample_at = self.sampler.next
+            if stop:
+                self._halt(rec, fr, common)
+        if self.halt_at is not None and k >= self.halt_at:
+            self._halt(rec, fr, common)
+        self._sync_next = self._next_event()
+
+    def _halt(self, rec: SyncRecord, fr: _Frame, common: tuple) -> None:
+        self.halted = rec
+        _overlay_common(self._globals, fr.regs, common)
+        raise _SyncHalt()
 
     def _check_assertion(self, text: str, fr: _Frame) -> bool:
         """Assertion checkers speak the tree-engine dialect (dict frames

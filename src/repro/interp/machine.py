@@ -304,18 +304,10 @@ class Interpreter:
         except _StopSignal:
             return None
 
-    def snapshot(self, frame: Frame | None = None) -> dict[str, object]:
-        """Observable state after a run: outputs + COMMON storage.
-
-        With ``frame``, the state as if that frame's COMMON scalars were
-        flushed first (what a mid-run halt observes), without writing
-        them back."""
+    def snapshot(self) -> dict[str, object]:
+        """Observable state after a run: outputs + COMMON storage."""
         out: dict[str, object] = {"outputs": list(self.outputs)}
-        globals_ = self._globals
-        if frame is not None:
-            globals_ = dict(globals_)
-            self._flush_common(frame, globals_)
-        for k, v in sorted(globals_.items()):
+        for k, v in sorted(self._globals.items()):
             out[f"common:{k}"] = v
         for k, st in sorted(self._global_arrays.items()):
             out[f"common:{k}"] = st.data.copy()
@@ -461,14 +453,12 @@ class Interpreter:
                 self._globals[sym.name] = self._zero_of(sym.type_name)
             frame.scalars[sym.name] = self._globals[sym.name]
 
-    def _flush_common(self, frame: Frame, into: dict | None = None) -> None:
-        """Write ``frame``'s COMMON scalars back to ``_globals`` (or to
-        ``into``)."""
-        g = self._globals if into is None else into
+    def _flush_common(self, frame: Frame) -> None:
+        """Write ``frame``'s COMMON scalars back to ``_globals``."""
         for sym in frame.symtab.symbols.values():
             if sym.storage == "common" and not sym.is_array:
                 if sym.name in frame.scalars:
-                    g[sym.name] = frame.scalars[sym.name]
+                    self._globals[sym.name] = frame.scalars[sym.name]
 
     def _reread_common(self, frame: Frame) -> None:
         """Re-read COMMON scalars a callee may have updated."""

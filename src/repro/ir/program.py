@@ -42,6 +42,8 @@ class UnitIR:
     #: same pair for the vector-lowered variant of the unit (the vector
     #: engine keeps its own slot so both tiers can coexist per UnitIR)
     _vcompiled: tuple | None = field(default=None, repr=False)
+    #: and for the sync-numbering variant the relative debugger runs
+    _scompiled: tuple | None = field(default=None, repr=False)
     #: ((generation, symbol count), digest) memo for
     #: interp.compile.unit_fingerprint -- see its docstring for why
     #: that pair is a sound validity key

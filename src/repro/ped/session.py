@@ -1327,14 +1327,14 @@ class PedSession:
         and under the adversarial interleaving emulator and return the
         :class:`~repro.interp.verify.RunDiff` of observable state (empty
         means the runs agree).  The fleet's verify stage is this check,
-        batched; both run on the compiled engine."""
+        batched."""
         from ..interp.relative import run_to_sync
         from ..interp.verify import compare_runs
         si = run_to_sync(self.program, inputs=inputs, adversarial=False,
-                         max_steps=max_steps, engine="compiled")
+                         max_steps=max_steps)
         ai = run_to_sync(self.program, inputs=inputs, adversarial=True,
                          workers=workers, schedule=schedule,
-                         max_steps=max_steps, engine="compiled")
+                         max_steps=max_steps)
         diff = compare_runs(si, ai, rtol=rtol, atol=atol)
         self._log("transformation guidance",
                   f"verify parallel: {len(diff)} difference(s) at "

@@ -279,6 +279,35 @@ def test_relative_debugger_reports_final_flush(pre, probes):
     assert div.probes == probes
 
 
+def test_invalid_workers_and_schedules_are_rejected():
+    """A worker count below 1 or an unknown schedule is an error, not a
+    silent serial or static run: before, seeded slab2d at 0 workers
+    verified clean and measured a speed-up for a racy program."""
+    from repro.ir import AnalyzedProgram
+    program = AnalyzedProgram.from_source(RACY_JOIN)
+    with pytest.raises(ValueError, match="workers"):
+        run_to_sync(program, [], adversarial=True, workers=0)
+    for bad in ("bogus", "guided"):
+        with pytest.raises(ValueError, match="schedule"):
+            run_to_sync(program, [], adversarial=True, schedule=bad)
+        with pytest.raises(ValueError, match="schedule"):
+            find_divergence(program, [], schedule=bad)
+    # the schedule name is case-insensitive, and dynamic is not static
+    runs = {sch: run_to_sync(program, [], adversarial=True, schedule=sch)
+            for sch in ("Dynamic", "dynamic", "static")}
+    assert compare_runs(runs["Dynamic"], runs["dynamic"], rtol=0,
+                        atol=0) == []
+    assert compare_runs(runs["dynamic"], runs["static"], rtol=0, atol=0)
+
+    rec = run_program_pipeline("slab2d", {"mode": "seeded", "workers": 0})
+    assert rec["status"] == "error"
+    assert rec["virtual_speedup"] is None
+    verify = next(s for s in rec["stages"] if s["stage"] == "verify")
+    assert not verify["ok"] and "workers" in verify["error"]
+    with pytest.raises(SystemExit):
+        fleet_main(["slab2d", "--workers", "0"])
+
+
 def test_sync_interpreter_is_deterministic():
     src = PROGRAMS["dpmin"]
     a = run_to_sync_program("dpmin", adversarial=False)

@@ -2,11 +2,11 @@
 
 ``repro.interp.runtime.fork_blocker`` alone decides whether the fork-join
 runtime forks a PARALLEL DO.  Each row below is a tiny loop; for it the
-test asks the verdict directly and then checks that the four consumers
+test asks the verdict directly and then checks that the three consumers
 agree with it: the compiled runtime (a ``par_fallbacks`` bump with four
-workers), the relative debugger's adversarial emulator on the tree
-walker and on the compiled engine (``serial_fallbacks``) and lint (a
-LINT004 finding).
+workers), the relative debugger's adversarial emulator (its
+``serial_fallbacks`` name the loop with the verdict's reason) and lint
+(a LINT004 finding).
 """
 
 import pytest
@@ -104,14 +104,11 @@ def test_fork_verdict_agrees_everywhere(case, allow_inexact):
         == (exact is not None)
 
     # the emulator's force_reassociation is the verdict's allow_inexact;
-    # both engines keep the same loops serial, for the same reason
+    # it keeps the loop serial for the verdict's reason
     adv = run_to_sync(program, list(INPUTS), adversarial=True, workers=4,
                       force_reassociation=allow_inexact)
-    assert bool(adv.serial_fallbacks) == (verdict is not None)
-    compiled = run_to_sync(program, list(INPUTS), adversarial=True,
-                           workers=4, force_reassociation=allow_inexact,
-                           engine="compiled")
-    assert compiled.serial_fallbacks == adv.serial_fallbacks
+    assert adv.serial_fallbacks == (
+        {} if verdict is None else {("WORK", loop.line): verdict.reason()})
 
     # lint predicts the runtime, so it never reassociates either
     lint004 = [d for d in lint_program(src)
