@@ -31,6 +31,7 @@ from ..analysis.linear import LinearExpr, linearize, to_expr
 from ..analysis.symbolic import auxiliary_inductions, invariant_names, \
     symbolic_relations
 from ..fortran import ast
+from ..interp.runtime import loop_facts
 from ..ir.loops import LoopInfo, LoopTree
 from ..ir.program import UnitIR
 from ..perf import budget as _budget
@@ -653,8 +654,12 @@ class DependenceAnalyzer:
                 continue
             scalars.setdefault(r.var, []).append(r)
 
-        reductions = self._find_reductions(li)
-        depth = 1  # scalar deps reported at the selected loop's level
+        # The runtime's recognizer sees reduction shapes only; a scalar
+        # a READ or a call also defines (through the oracle) is none.
+        defined = {a.name for s, _ in ast.walk_stmts(li.loop.body)
+                   if not isinstance(s, ast.Assign)
+                   for a in accesses(s, st, self.oracle) if a.is_def}
+        reductions = set(loop_facts(li.loop, st).shape_reductions) - defined
         out: list[Dependence] = []
         for var, sites in sorted(scalars.items()):
             writes = [r for r in sites if r.is_write]
@@ -713,68 +718,6 @@ class DependenceAnalyzer:
                 w = writes[0]
                 emit(w, w, DepType.OUTPUT, True)
         return out, reductions
-
-    def _find_reductions(self, li: LoopInfo) -> set[str]:
-        """Scalars updated only by associative accumulation ``s = s op e``."""
-        st = self.uir.symtab
-        cands: dict[str, int] = {}
-        disq: set[str] = set()
-        for s in [x for x, _ in ast.walk_stmts(li.loop.body)]:
-            if isinstance(s, ast.Assign) and isinstance(s.target, ast.VarRef):
-                v = s.target.name
-                if _is_reduction_rhs(s.value, v):
-                    cands[v] = cands.get(v, 0) + 1
-                    continue
-                disq.add(v)
-                if v in _names(s.value):
-                    pass
-            else:
-                for a in accesses(s, st, self.oracle):
-                    if a.is_def:
-                        disq.add(a.name)
-            # uses of the candidate outside its own update disqualify
-            if isinstance(s, ast.Assign):
-                rhs_names = _names(s.value)
-                tgt = s.target.name if isinstance(s.target, ast.VarRef) \
-                    else None
-                for v in rhs_names:
-                    if v != tgt and v in cands:
-                        disq.add(v)
-            else:
-                for e in s.exprs():
-                    disq |= _names(e) & set(cands)
-        return {v for v in cands if v not in disq
-                and not (st.get(v) and st.get(v).is_array)}
-
-
-def _names(e: ast.Expr) -> set[str]:
-    return {n.name for n in ast.walk_expr(e)
-            if isinstance(n, (ast.VarRef, ast.ArrayRef))}
-
-
-def _is_reduction_rhs(value: ast.Expr, var: str) -> bool:
-    """``var + e`` / ``var - e`` / ``var * e`` / MAX/MIN(var, e) patterns
-    where ``e`` does not mention ``var``."""
-    if isinstance(value, ast.BinOp) and value.op in ("+", "-", "*"):
-        l, r = value.left, value.right
-        if isinstance(l, ast.VarRef) and l.name == var \
-                and var not in _names(r):
-            return True
-        if value.op == "+" and isinstance(r, ast.VarRef) and r.name == var \
-                and var not in _names(l):
-            return True
-    if isinstance(value, ast.FuncRef) and value.name in ("MAX", "MIN",
-                                                         "AMAX1", "AMIN1",
-                                                         "MAX0", "MIN0",
-                                                         "DMAX1", "DMIN1"):
-        args = value.args
-        if len(args) == 2:
-            for k in (0, 1):
-                if isinstance(args[k], ast.VarRef) \
-                        and args[k].name == var \
-                        and var not in _names(args[1 - k]):
-                    return True
-    return False
 
 
 def _dep_type(src: RefSite, snk: RefSite) -> DepType | None:

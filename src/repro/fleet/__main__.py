@@ -65,14 +65,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-worlds", type=int, default=8,
                    help="candidate worlds raced per program with "
                         "--explore (default: 8)")
-    p.add_argument("--fleet-workers", type=int, default=2,
+    p.add_argument("--fleet-workers", type=_positive_int, default=2,
                    help="concurrent program pipelines (default: 2)")
     p.add_argument("--pool", choices=POOL_LADDER, default="thread",
                    help="initial dispatch pool mode (default: thread)")
     p.add_argument("--timeout", type=float, default=120.0,
                    help="per-program result timeout in seconds "
                         "(default: 120; 0 = no timeout)")
-    p.add_argument("--max-attempts", type=int, default=3)
+    p.add_argument("--max-attempts", type=_positive_int, default=3)
     p.add_argument("--backoff", type=float, default=0.25,
                    help="first retry delay in seconds (doubles per "
                         "attempt; default: 0.25)")

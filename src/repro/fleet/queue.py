@@ -101,6 +101,10 @@ class FleetRunner:
         self.names = names
         self.pipeline = pipeline or PipelineOptions()
         self.options = options or FleetOptions()
+        for knob in ("fleet_workers", "max_attempts"):
+            value = getattr(self.options, knob)
+            if value < 1:
+                raise ValueError(f"{knob} must be >= 1, got {value}")
         self.checkpoint_path = checkpoint
         self.sleeper = sleeper
         self.log = log or (lambda msg: None)
@@ -162,7 +166,7 @@ class FleetRunner:
         batch_no = 0
         try:
             while pending:
-                batch = pending[:max(1, opts.fleet_workers)]
+                batch = pending[:opts.fleet_workers]
                 batch_no += 1
                 faults.check("fleet_dispatch", batch=batch_no)
                 results = self._dispatch(batch, states, report)

@@ -166,7 +166,8 @@ def resolve_unit(unit: ast.ProgramUnit, st: SymbolTable,
     """Rewrite ``NameRef`` nodes into ``ArrayRef``/``FuncRef`` in place.
 
     ``procedure_names`` are the other units in the file; a ``NameRef``
-    whose name is not a declared array becomes a function reference.
+    whose name is not a declared array becomes a function reference,
+    and an intrinsic-named ``FuncRef`` declared EXTERNAL a user one.
     """
 
     def fix(e: ast.Expr) -> ast.Expr:
@@ -176,6 +177,11 @@ def resolve_unit(unit: ast.ProgramUnit, st: SymbolTable,
             # Known intrinsics were classified at parse time, so whatever
             # remains is a user-defined (external) function.
             return ast.FuncRef(e.name, e.args, intrinsic=False)
+        if isinstance(e, ast.FuncRef) and e.intrinsic:
+            sym = st.get(e.name)
+            if sym is not None and sym.external:
+                # an EXTERNAL name is the user's procedure (F77 8.7)
+                return ast.FuncRef(e.name, e.args, intrinsic=False)
         return e
 
     def fix_expr(e: ast.Expr) -> ast.Expr:

@@ -8,6 +8,7 @@ from ..analysis.arraykills import privatizable_arrays
 from ..analysis.kills import scalar_kills
 from ..analysis.symbolic import trip_count
 from ..fortran import ast
+from ..interp.runtime import _red_match
 from .base import Advice, TContext, TransformError, Transformation, \
     add_expr, declare_array, fresh_name, owner_or_raise, sub_expr, \
     substitute_in_stmt
@@ -372,8 +373,8 @@ class ReductionRecognition(Transformation):
             return Advice.unsafe(
                 f"{var} does not match a recognized reduction pattern")
         stmt = self._find(ctx, var)
-        if stmt is None or not isinstance(stmt.value, ast.BinOp) \
-                or stmt.value.op not in ("+", "-"):
+        red = _red_match(stmt.value, var) if stmt is not None else None
+        if red is None or red[0] != "sum":
             return Advice.no("only sum reductions are restructured "
                              "automatically")
         if stmt not in ctx.loop.loop.body:
@@ -404,7 +405,7 @@ class ReductionRecognition(Transformation):
         if not (isinstance(lp.start, ast.IntConst) and lp.start.value == 1):
             idx = add_expr(sub_expr(ast.VarRef(lp.var), lp.start),
                            ast.IntConst(1))
-        contrib = stmt.value.right
+        _, contrib = _red_match(stmt.value, var)
         if stmt.value.op == "-":
             contrib = ast.UnOp("-", contrib)
         stmt.target = ast.ArrayRef(part, (idx,))

@@ -1,8 +1,11 @@
 """Dependence graph construction: classification, levels, scalar deps,
 reductions, copy propagation, auxiliary inductions."""
 
+import pytest
+
 from repro.dependence import DepType, DependenceAnalyzer, FactBase, Mark
 from repro.ir import AnalyzedProgram
+from repro.ped.session import PedSession
 
 
 def deps_of(src: str, unit: str = "T", loop: str = "L1", **kw):
@@ -102,30 +105,44 @@ class TestScalarDeps:
         assert an2.analyze_loop("L1").parallelizable()
 
 
+def _reduction_loop(*body, head="T(S)", decls="", callee=""):
+    return (f"      SUBROUTINE {head}\n      REAL A(10), S\n" + decls
+            + "      DO 10 I = 1, 10\n"
+            + "".join(f"      {line}\n" for line in body)
+            + "   10 CONTINUE\n      END\n" + callee)
+
+
 class TestReductions:
-    def test_sum_reduction_detected(self):
-        ld = deps_of("      SUBROUTINE T(S)\n      REAL A(10), S\n"
-                     "      DO 10 I = 1, 10\n      S = S + A(I)\n"
-                     "   10 CONTINUE\n      END\n")
-        assert "S" in ld.reductions
+    @pytest.mark.parametrize("src", [
+        _reduction_loop("S = S + A(I)"),
+        _reduction_loop("S = MAX(S, A(I))"),
+        _reduction_loop("S = A(I) * S"),
+    ], ids=["sum", "max", "product-on-the-right"])
+    def test_reduction_detected(self, src):
+        assert "S" in deps_of(src).reductions
 
-    def test_max_reduction_detected(self):
-        ld = deps_of("      SUBROUTINE T(S)\n      REAL A(10), S\n"
-                     "      DO 10 I = 1, 10\n      S = MAX(S, A(I))\n"
-                     "   10 CONTINUE\n      END\n")
-        assert "S" in ld.reductions
+    @pytest.mark.parametrize("src", [
+        _reduction_loop("S = S + A(I)", "A(I) = S"),
+        _reduction_loop("S = 0.5 * S + A(I)"),
+        _reduction_loop("S = S + A(I)", "S = S * 2.0"),
+        _reduction_loop("S = MAX(S, A(I))", "S = S + A(I)"),
+        _reduction_loop("S = S + A(I)", "READ *, S"),
+    ], ids=["other-use", "non-associative", "mixed-sum-product",
+            "mixed-max-sum", "read-defines"])
+    def test_not_a_reduction(self, src):
+        assert "S" not in deps_of(src).reductions
 
-    def test_other_use_disqualifies(self):
-        ld = deps_of("      SUBROUTINE T(S)\n      REAL A(10), S\n"
-                     "      DO 10 I = 1, 10\n      S = S + A(I)\n"
-                     "      A(I) = S\n   10 CONTINUE\n      END\n")
-        assert "S" not in ld.reductions
-
-    def test_non_associative_not_detected(self):
-        ld = deps_of("      SUBROUTINE T(S)\n      REAL A(10), S\n"
-                     "      DO 10 I = 1, 10\n      S = 0.5 * S + A(I)\n"
-                     "   10 CONTINUE\n      END\n")
-        assert "S" not in ld.reductions
+    @pytest.mark.parametrize("stored, reduction", [("S", False),
+                                                   ("T", True)])
+    def test_callee_common_store(self, stored, reduction):
+        # the interprocedural oracle says which COMMON scalar F stores
+        src = _reduction_loop(
+            "S = S + A(I)", "CALL F", head="T",
+            decls="      COMMON /C/ S, T\n",
+            callee=f"      SUBROUTINE F\n      COMMON /C/ S, T\n"
+                   f"      {stored} = 1.0\n      END\n")
+        ld = PedSession(src).analyzer("T").analyze_loop("L1")
+        assert ("S" in ld.reductions) is reduction
 
 
 class TestCopyPropagation:

@@ -308,6 +308,16 @@ def test_invalid_workers_and_schedules_are_rejected():
         fleet_main(["slab2d", "--workers", "0"])
 
 
+@pytest.mark.parametrize("knob", ["fleet_workers", "max_attempts"])
+def test_queue_options_must_be_positive(knob):
+    # a zero used to be clamped to 1 and the run exited 0
+    with pytest.raises(ValueError, match=knob):
+        FleetRunner(["dpmin"], options=FleetOptions(**{knob: 0}))
+    with pytest.raises(SystemExit):
+        fleet_main(["dpmin", "--mode", "plain", "--pool", "serial",
+                    f"--{knob.replace('_', '-')}", "0"])
+
+
 def test_sync_interpreter_is_deterministic():
     src = PROGRAMS["dpmin"]
     a = run_to_sync_program("dpmin", adversarial=False)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.interp import (AssertionViolated, Interpreter, RuntimeFault,
-                          StepLimitExceeded, compare_runs, run_program,
-                          simulate_speedup, verify_equivalence)
+from repro.interp import (ENGINES, AssertionViolated, Interpreter,
+                          RuntimeFault, StepLimitExceeded, compare_runs,
+                          run_program, simulate_speedup, verify_equivalence)
+from repro.interp.runtime import loop_facts
 from repro.ir import AnalyzedProgram
 
 
@@ -105,6 +106,25 @@ class TestProceduresAndStorage:
                 "      REAL FUNCTION TWICE(X)\n      REAL X\n"
                 "      TWICE = X * 2.0\n      END\n")
         assert r.outputs == [42.0]
+
+    EXTERNAL_MAX = (
+        "      PROGRAM P\n      EXTERNAL MAX\n      REAL MAX, S\n"
+        "      S = 0.0\n      DO 10 I = 1, 10\n"
+        "      S = MAX(S, REAL(I))\n   10 CONTINUE\n"
+        "      PRINT *, S\n      END\n"
+        "      REAL FUNCTION MAX(X, Y)\n      REAL X, Y\n"
+        "      MAX = X + Y\n      END\n")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_external_overrides_intrinsic_name(self, engine):
+        # F77 8.7: EXTERNAL MAX names the user's function, not MAX
+        assert run(self.EXTERNAL_MAX, engine=engine).outputs == [55.0]
+
+    def test_external_call_is_no_reduction(self):
+        uir = AnalyzedProgram.from_source(self.EXTERNAL_MAX).unit("P")
+        facts = loop_facts(uir.loops.find("L1").loop, uir.symtab)
+        assert not facts.shape_reductions and not facts.reductions
+        assert facts.callees == {"MAX"}
 
     def test_scalar_copy_back(self):
         r = run("      PROGRAM P\n      X = 1.0\n      CALL BUMP(X)\n"

@@ -2,7 +2,7 @@
 
 from repro.dependence import DependenceAnalyzer
 from repro.fortran import print_program
-from repro.interp import verify_equivalence
+from repro.interp import run_program, verify_equivalence
 from repro.ir import AnalyzedProgram
 from repro.transform import TContext, get
 
@@ -184,6 +184,23 @@ class TestReductionRecognition:
     def test_subtraction_reduction(self):
         src = self.SRC.replace("S = S + A(I)", "S = S - A(I)")
         apply_and_verify("reduction_recognition", src, loop="L2", var="S")
+
+    # A(I) = I makes the printed result exact
+    EXACT = SRC.replace("A(I) = I * 0.5", "A(I) = I")
+
+    def test_mixed_updates_refused(self):
+        src = self.EXACT.replace("S = S + A(I)\n",
+                                 "S = S + A(I)\n      S = S * 2.0\n")
+        program, ctx = make_ctx(src, loop="L2", var="S")
+        assert not get("reduction_recognition").apply(ctx).applied
+        assert run_program(program).outputs == [5096.0]
+
+    def test_accumulator_on_the_right(self):
+        src = self.EXACT.replace("S = S + A(I)", "S = A(I) + S")
+        _, out = apply_and_verify("reduction_recognition", src,
+                                  loop="L2", var="S")
+        assert "SX1(I) = A(I)" in out
+        assert run_program(out).outputs == [56.0]
 
     def test_conditional_update_refused(self):
         src = ("      PROGRAM T\n      REAL A(10), S\n      S = 0.0\n"
